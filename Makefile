@@ -100,7 +100,6 @@ examples:
 	$(GO) run ./examples/thresholds
 	$(GO) run ./examples/fleet
 	$(GO) run ./examples/migration
-	$(GO) run ./examples/transactions
 
 clean:
 	$(GO) clean ./...

@@ -183,6 +183,15 @@ func TestIngestSurvivesCollectorOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(40, total)
+	// Stay down until the shipper has failed against the closed address
+	// at least once, or the rebind below could beat its first attempt and
+	// the outage would never happen.
+	for shipper.Stats().Retries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no retry during the outage: stats = %+v", shipper.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Recovery on the same address; retries from here on must succeed.
 	var ln2 net.Listener

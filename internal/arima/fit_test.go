@@ -413,3 +413,31 @@ func TestPureDifferencingModel(t *testing.T) {
 		}
 	}
 }
+
+// TestForecastIntervalCalibration is the statistical quality check: over
+// many simulated replications, ~95% of 1-step-ahead truths must fall in
+// the 95% interval.
+func TestForecastIntervalCalibration(t *testing.T) {
+	inCount, total := 0, 0
+	for rep := 0; rep < 60; rep++ {
+		full := simulateARMA(520, []float64{0.6}, nil, 0, 1, int64(500+rep))
+		train, truth := full[:519], full[519]
+		m, err := Fit(Spec{P: 1}, train, nil, FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := m.Forecast(1, nil, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total++
+		if truth >= fc.Lower[0] && truth <= fc.Upper[0] {
+			inCount++
+		}
+	}
+	coverage := float64(inCount) / float64(total)
+	// Binomial(60, 0.95): anything >= ~85% passes comfortably.
+	if coverage < 0.85 {
+		t.Fatalf("95%% interval covered only %.0f%% of truths", coverage*100)
+	}
+}

@@ -5,10 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -22,8 +20,8 @@ import (
 	"repro/internal/metricstore"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/planner"
-	"repro/internal/timeseries"
 )
 
 // CapplanServe runs capplan as a long-running service: train champions
@@ -138,14 +136,6 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	ctx, cancel := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	// The store's clock follows simulated time, so the paper's one-week
-	// age policy works at replay speed. simClock is atomic because HTTP
-	// handlers read it concurrently with the replay loop.
-	var simClock atomic.Int64
-	store := core.NewModelStore(core.StalePolicy{MaxAge: *maxAge, DegradeFactor: *degrade})
-	store.SetObserver(o)
-	store.SetClock(func() time.Time { return time.Unix(simClock.Load(), 0).UTC() })
-
 	var rules []monitor.Rule
 	for _, r := range []monitor.Rule{
 		{Metric: "cpu", Threshold: *thresholdCPU, WithinHours: *within},
@@ -156,207 +146,32 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 			rules = append(rules, r)
 		}
 	}
-
-	var repo *metricstore.Store
-	var startAt time.Time
-	// repoPtr mirrors repo for HTTP handlers: the targets endpoint reads
-	// the inventory concurrently with the goroutine that assigns repo.
-	var repoPtr atomic.Pointer[metricstore.Store]
-	trainWindow := time.Duration(*days) * 24 * time.Hour
-	// refit re-learns a champion from the freshest repository window; the
-	// replay loop calls it synchronously via the monitor. A warm request
-	// seeds the engine with the stored champion's parameters and prior
-	// candidate scores; with nothing stored the run simply goes cold.
-	refit := func(rctx context.Context, key string, warm bool) (*core.Result, error) {
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			return nil, fmt.Errorf("serve: malformed key %q", key)
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		to := time.Unix(simClock.Load(), 0).UTC()
-		from := to.Add(-trainWindow)
-		if from.Before(startAt) {
-			from = startAt
-		}
-		// A series that began mid-serve (the self targets do) is clamped
-		// to its own first sample, or the window would open with a NaN
-		// prefix no model can fit.
-		if f, _, ok := repo.TimeRange(k); ok && from.Before(f) {
-			from = f
-		}
-		ser, err := repo.Series(k, timeseries.Hourly, from, to)
-		if err != nil {
-			return nil, err
-		}
-		engOpts := core.Options{
-			Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand,
-			FitTimeout: *fitTimeout, Obs: o,
-		}
-		if warm {
-			if sm, _ := store.Peek(key); sm != nil && sm.Result != nil {
-				engOpts.Warm = core.WarmFromResult(sm.Result)
-			}
-		}
-		eng, err := core.NewEngine(engOpts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Run(rctx, ser)
-		if err == nil {
-			snapshotForecast(repo, k, res, to)
-		}
-		return res, err
+	var plan *planner.Policy
+	if *planOn {
+		plan = &planner.Policy{Metric: "cpu", Headroom: *headroom, HorizonHours: *planHorizon, MaxInstances: *planMax}
 	}
-	// advance rolls a horizon-exhausted champion forward instead of
-	// refitting: the hours since the forecast origin fold into the live
-	// model's state and the forecast regenerates from the new origin. Any
-	// gap (missing samples, no live model) returns an error and the
-	// monitor falls back to a real refit.
-	advance := func(actx context.Context, key string, at time.Time) (*core.Result, error) {
-		_ = actx
-		sm, _ := store.Peek(key)
-		if sm == nil || sm.Result == nil {
-			return nil, fmt.Errorf("serve: no stored model for %q", key)
-		}
-		if sm.Result.Live == nil || sm.Result.Forecast == nil {
-			return nil, fmt.Errorf("serve: stored model for %q has no live state", key)
-		}
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			return nil, fmt.Errorf("serve: malformed key %q", key)
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		fc := sm.Result.Forecast
-		step := fc.Freq.Step()
-		// The observations to fold in: every completed bucket from the
-		// forecast origin through the hour that just exhausted it.
-		ser, err := repo.Series(k, fc.Freq, fc.Start, at.Add(step))
-		if err != nil {
-			return nil, err
-		}
-		if ser.Len() == 0 {
-			return nil, fmt.Errorf("serve: no observations to advance %q over", key)
-		}
-		for _, v := range ser.Values {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("serve: gap in %q since forecast origin", key)
-			}
-		}
-		res, err := sm.Result.Advanced(ser.Values)
-		if err != nil {
-			return nil, err
-		}
-		if !store.ReplaceResult(key, res) {
-			return nil, fmt.Errorf("serve: stored model for %q vanished mid-advance", key)
-		}
-		snapshotForecast(repo, k, res, time.Unix(simClock.Load(), 0).UTC())
-		return res, nil
-	}
-
-	mon, err := monitor.New(monitor.Config{
-		Store:          store,
-		Window:         *window,
-		Rules:          rules,
-		PendingTicks:   *pendingTicks,
-		ResolveTicks:   *resolveTicks,
-		Calibration:    monitor.CalibrationConfig{Window: *calWindow},
-		Drift:          monitor.DriftConfig{Disabled: !*driftOn, Delta: *phDelta, Lambda: *phLambda},
-		Refit:          refit,
-		Advance:        advance,
-		ColdRefitEvery: *coldEvery,
-		Inventory: func() []string {
-			var keys []string
-			if r := repoPtr.Load(); r != nil {
-				for _, k := range r.Keys() {
-					keys = append(keys, k.String())
-				}
-			}
-			if *selfScrape {
-				// Listed explicitly so the self targets show as warming on
-				// /api/v1/targets before their first scrape lands.
-				for _, sk := range monitor.SelfKeys("") {
-					if !containsKey(keys, sk) {
-						keys = append(keys, sk)
-					}
-				}
-			}
-			return keys
+	// The pipeline's clock follows simulated time, so the paper's
+	// one-week age policy works at replay speed.
+	pipe, err := pipeline.New(pipeline.Config{
+		Engine:      core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout},
+		TrainWindow: time.Duration(*days) * 24 * time.Hour,
+		Stale:       core.StalePolicy{MaxAge: *maxAge, DegradeFactor: *degrade},
+		Monitor: monitor.Config{
+			Window:         *window,
+			Rules:          rules,
+			PendingTicks:   *pendingTicks,
+			ResolveTicks:   *resolveTicks,
+			Calibration:    monitor.CalibrationConfig{Window: *calWindow},
+			Drift:          monitor.DriftConfig{Disabled: !*driftOn, Delta: *phDelta, Lambda: *phLambda},
+			ColdRefitEvery: *coldEvery,
 		},
-		Obs: o,
+		Plan:       plan,
+		SelfScrape: *selfScrape,
+		SelfTrain:  *selfTrain,
+		Obs:        o,
 	})
 	if err != nil {
 		return err
-	}
-
-	// The planner closes the loop over the same champions the monitor
-	// scores: each hour it folds their horizon forecasts into a cluster
-	// demand curve, sizes the fleet under the headroom policy, and exposes
-	// the resulting recommendation on /api/v1/plan and through the alerter
-	// (an ignored recommendation escalates pending → firing).
-	var plan *planner.Planner
-	if *planOn {
-		plan, err = planner.New(planner.Policy{
-			Metric: "cpu", Headroom: *headroom,
-			HorizonHours: *planHorizon, MaxInstances: *planMax,
-		}, o)
-		if err != nil {
-			return err
-		}
-	}
-	var planBackups []planner.BackupInfo
-	planStep := func(now time.Time) {
-		if plan == nil {
-			return
-		}
-		pol := plan.Policy()
-		suffix := "/" + pol.Metric
-		var fcs []planner.Forecast
-		var names []string
-		for _, key := range store.Keys() {
-			// The self-scrape pseudo-target is pipeline telemetry, not
-			// database capacity; it must not inflate the fleet size.
-			if strings.HasPrefix(key, monitor.DefaultSelfTarget+"/") || !strings.HasSuffix(key, suffix) {
-				continue
-			}
-			sm, _ := store.Peek(key)
-			if sm == nil || sm.Result == nil || sm.Result.Forecast == nil {
-				continue
-			}
-			fc := sm.Result.Forecast
-			fcs = append(fcs, planner.Forecast{
-				Key: key, Start: fc.Start, Step: fc.Freq.Step(),
-				Mean: fc.Mean, Upper: fc.Upper,
-			})
-			names = append(names, strings.TrimSuffix(key, suffix))
-		}
-		if len(fcs) == 0 {
-			return
-		}
-		sort.Strings(names)
-		// The last completed hour's actual per instance feeds rebalance
-		// detection; a missing observation disables it for the cycle.
-		var loads []float64
-		if r := repoPtr.Load(); r != nil {
-			for _, t := range names {
-				ser, serr := r.Series(metricstore.Key{Target: t, Metric: pol.Metric}, timeseries.Hourly, now.Add(-time.Hour), now)
-				if serr != nil || ser.Len() == 0 || math.IsNaN(ser.Values[0]) {
-					loads = nil
-					break
-				}
-				loads = append(loads, ser.Values[0])
-			}
-		}
-		st := planner.ClusterState{
-			Target: "cluster", Instances: len(names),
-			NodeLoad: loads, Backups: planBackups,
-		}
-		plan.Plan(now, st, planner.AggregateDemand(now, pol.HorizonHours, 0, fcs))
-		if rec, ok := plan.Recommendation(); ok {
-			mon.ObserveCondition(st.Target, planner.GrowCondition, now,
-				rec.Recommended > rec.Instances, float64(rec.Recommended), rec.PeakAt)
-			mon.ObserveCondition(st.Target, planner.ShrinkCondition, now,
-				rec.Recommended < rec.Instances, float64(rec.Recommended), rec.PeakAt)
-		}
 	}
 
 	// The endpoint goes up before training so /healthz answers from the
@@ -364,98 +179,109 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	// In ingest mode it also carries the remote-write collector, so
 	// agents can ship from the first second too.
 	var ready atomic.Bool
-	extra := mon.Handlers()
-	if plan != nil {
-		extra[planner.PlanPath] = planner.Handler(plan)
-	}
+	extra := pipe.Handlers()
+	var repo *metricstore.Store
 	if *ingestOn {
-		var rerr error
-		repo, rerr = metricstore.Open(metricstore.Options{
+		repo, err = metricstore.Open(metricstore.Options{
 			Shards:    *storeShards,
 			Dir:       *storeDir,
 			Retention: *retention,
 			Sync:      syncPolicy,
 		})
-		if rerr != nil {
-			return rerr
+		if err != nil {
+			return err
 		}
 		defer repo.Close()
-		repoPtr.Store(repo)
+		pipe.Attach(repo, nil)
 		repo.SetObserver(o)
 		if *storeDir != "" {
 			rec := repo.Recovered()
 			fmt.Fprintf(stdout, "durable store %s: %d shards, replayed %d samples and %d forecast snapshots from %d WAL segments (%d torn tails)\n",
 				*storeDir, repo.Shards(), rec.Samples, rec.Forecasts, rec.Segments, rec.Torn)
 		}
-		col, cerr := ingest.NewCollector(ingest.ServerConfig{
+		col, err := ingest.NewCollector(ingest.ServerConfig{
 			Store:       repo,
 			MaxBatch:    *ingestMaxBatch,
 			MaxInFlight: *ingestInflight,
 			Obs:         o,
 		})
-		if cerr != nil {
-			return cerr
+		if err != nil {
+			return err
 		}
 		extra[ingest.Path] = col
 	}
-	ln, err := of.serve(stdout, o, obs.MuxOptions{
-		Ready: ready.Load,
-		Extra: extra,
-	})
+	ln, err := of.serve(stdout, o, obs.MuxOptions{Ready: ready.Load, Extra: extra})
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
 
-	// The self-scraper turns the planner's own pipeline metrics into
-	// forecast targets; trainSelf gives each self series its first
-	// champion once enough history has been scraped (after which the
-	// monitor refits them like any other target).
-	newScraper := func() *monitor.SelfScraper {
-		if !*selfScrape {
-			return nil
+	// train runs the initial fleet training and flips readiness; false
+	// means a shutdown canceled it.
+	train := func(from, to time.Time) (bool, error) {
+		res, err := pipe.Train(ctx, from, to)
+		if err != nil {
+			return false, err
 		}
-		return monitor.NewSelfScraper(repo, o, "")
+		if res.Canceled {
+			fmt.Fprintf(stdout, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
+				res.Trained, res.Unprocessed)
+			return false, nil
+		}
+		fmt.Fprintf(stdout, "initial training: %d trained, %d failed in %v\n",
+			res.Trained, res.Failed, res.Elapsed.Round(time.Millisecond))
+		ready.Store(true)
+		return true, nil
 	}
-	trainSelf := func(tctx context.Context) {
-		if !*selfScrape || *selfTrain <= 0 || tctx.Err() != nil {
-			return
-		}
-		for _, key := range monitor.SelfKeys("") {
-			if _, ok := store.Peek(key); ok {
-				continue
-			}
-			i := strings.LastIndexByte(key, '/')
-			k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-			f, l, ok := repo.TimeRange(k)
-			if !ok || coveredHours(f, l) < *selfTrain {
-				continue
-			}
-			res, err := refit(tctx, key, false)
-			if err != nil {
-				// Early self series are often near-constant; keep scraping
-				// and try again next hour.
-				o.Debug("self target not yet trainable", "key", key, "err", err)
-				continue
-			}
-			store.Put(key, res)
-			o.Info("self target trained", "key", key, "champion", res.Champion.Label,
-				"hours", coveredHours(f, l))
-		}
-	}
+	more := func(hour int) bool { return ctx.Err() == nil && (*hours == 0 || hour < *hours) }
 
 	if *ingestOn {
-		return serveIngested(ctx, stdout, o, repo, mon, &simClock, &ready, &startAt, ingestedOptions{
-			engine:    core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout},
-			store:     store,
-			days:      *days,
-			hours:     *hours,
-			tick:      *tick,
-			scraper:   newScraper(),
-			trainSelf: trainSelf,
-			plan:      planStep,
-			dump:      func() { of.dumpMetrics(stdout, o) },
-		})
+		// Remote-repository mode: wait until remote agents have shipped a
+		// full training window, train on it, then follow the ingested
+		// feed hour by hour — the two-process version of the replay.
+		poll := *tick
+		if poll <= 0 {
+			poll = 200 * time.Millisecond
+		}
+		trainHours := *days * 24
+		fmt.Fprintf(stdout, "ingest mode: waiting for %d hours of remote samples on POST %s\n",
+			trainHours, ingest.Path)
+		// Until a full window has arrived on every series the loop only
+		// waits; after training it consumes every hour the remote agents
+		// have completed: a bucket [simNow, simNow+1h) counts once a
+		// sample at or past its end has arrived on every series.
+		var trainTo, simNow time.Time
+		hour := 0
+		for more(hour) {
+			if first, last, ok := commonWindow(repo); ok {
+				if trainTo.IsZero() && pipeline.CoveredHours(first, last) >= trainHours {
+					trainTo = first.Add(time.Duration(trainHours) * time.Hour)
+					fmt.Fprintf(stdout, "training on ingested window %s → %s (%d series)\n",
+						first.Format("2006-01-02 15:04"), trainTo.Format("2006-01-02 15:04"), len(repo.Keys()))
+					if trained, err := train(first, trainTo); !trained {
+						return err
+					}
+					fmt.Fprintln(stdout, "ready — following the ingested feed")
+					simNow = trainTo
+				}
+				for ; !trainTo.IsZero() && more(hour) && !last.Before(simNow.Add(time.Hour)); hour++ {
+					pipe.Step(ctx, simNow)
+					simNow = simNow.Add(time.Hour)
+				}
+			}
+			select {
+			case <-ctx.Done():
+			case <-time.After(poll):
+			}
+		}
+		if trainTo.IsZero() {
+			fmt.Fprintln(stdout, "interrupted before a full training window was ingested")
+			return nil
+		}
+		fmt.Fprintf(stdout, "followed %d ingested hours (%s → %s)\n",
+			hour, trainTo.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
+		of.dumpMetrics(stdout, o)
+		return nil
 	}
 
 	fmt.Fprintf(stdout, "collecting %d days of %s history (seed %d)...\n", *days, *exp, *seed)
@@ -466,35 +292,13 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	repo = ds.Store
-	repoPtr.Store(repo)
-	startAt = ds.Start
-	simClock.Store(ds.End.Unix())
-	if plan != nil {
-		// The simulated cluster's backup schedule is a shock the planner
-		// understands: it sizes backup hours around it and may move jobs
-		// into forecast valleys.
-		planBackups = planner.BackupInfos(ds.Cluster, dbsim.CPU)
-	}
-
-	res, err := core.RunFleet(ctx, repo, ds.Start, ds.End, core.FleetOptions{
-		Engine: core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout},
-		Freq:   timeseries.Hourly,
-		Store:  store,
-		Obs:    o,
-	})
-	if err != nil {
+	// The simulated cluster's backup schedule is a shock the planner
+	// understands: it sizes backup hours around it and may move jobs
+	// into forecast valleys.
+	pipe.Attach(ds.Store, planner.BackupInfos(ds.Cluster, dbsim.CPU))
+	if trained, err := train(ds.Start, ds.End); !trained {
 		return err
 	}
-	if res.Canceled {
-		fmt.Fprintf(stdout, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
-			res.Trained, res.Unprocessed)
-		return nil
-	}
-	fmt.Fprintf(stdout, "initial training: %d trained, %d failed in %v\n",
-		res.Trained, res.Failed, res.Elapsed.Round(time.Millisecond))
-	snapshotFleetForecasts(repo, store)
-	ready.Store(true)
 	fmt.Fprintf(stdout, "ready — replaying the agent feed (1 simulated hour per %v tick)\n", *tick)
 
 	// The replay agent continues the same deterministic feed the history
@@ -504,15 +308,13 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 		FailureRate: *failRate,
 		Seed:        *seed + 1,
 		Obs:         o,
-	}, ds.Cluster, repo)
+	}, ds.Cluster, ds.Store)
 	if err != nil {
 		return err
 	}
-
-	scraper := newScraper()
 	simNow := ds.End
 	hour := 0
-	for ctx.Err() == nil && (*hours == 0 || hour < *hours) {
+	for ; more(hour); hour++ {
 		next := simNow.Add(time.Hour)
 		if _, _, err := ag.CollectCtx(ctx, simNow, next); err != nil {
 			if ctx.Err() != nil {
@@ -521,20 +323,10 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		if *shiftAfter > 0 && *shiftFactor != 1 && hour >= *shiftAfter && hour < *shiftAfter+*shiftHours {
-			scaleSamples(repo, simNow, next, *shiftFactor)
+			scaleSamples(ds.Store, simNow, next, *shiftFactor)
 		}
-		if scraper != nil {
-			// Stamped at the completed hour's start so the sample lands in
-			// the bucket observeHour is about to score.
-			scraper.Sample(simNow)
-		}
-		simClock.Store(next.Unix())
-		observeHour(ctx, repo, mon, simNow, next)
-		trainSelf(ctx)
-		mon.EvaluateAlerts(next)
-		planStep(next)
+		pipe.Step(ctx, simNow)
 		simNow = next
-		hour++
 		if *tick > 0 {
 			select {
 			case <-ctx.Done():
@@ -548,144 +340,13 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// ingestedOptions carries the serve parameters the ingest-mode loop
-// needs.
-type ingestedOptions struct {
-	engine    core.Options
-	store     *core.ModelStore
-	days      int
-	hours     int
-	tick      time.Duration
-	scraper   *monitor.SelfScraper
-	trainSelf func(context.Context)
-	plan      func(time.Time)
-	dump      func()
-}
-
-// serveIngested is serve's remote-repository mode: wait until remote
-// agents have shipped a full training window, train the fleet on it,
-// then follow the ingested feed hour by hour through the monitor —
-// the two-process version of the simulated replay loop.
-func serveIngested(ctx context.Context, stdout io.Writer, o *obs.Observer,
-	repo *metricstore.Store, mon *monitor.Monitor, simClock *atomic.Int64,
-	ready *atomic.Bool, startAt *time.Time, opt ingestedOptions) error {
-	poll := opt.tick
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	trainHours := opt.days * 24
-	fmt.Fprintf(stdout, "ingest mode: waiting for %d hours of remote samples on POST %s\n",
-		trainHours, ingest.Path)
-
-	// The self target is excluded from window intersection: its last
-	// sample always trails the feed (it is written by this very loop), so
-	// including it would stall the hour-consumption logic.
-	exclude := ""
-	if opt.scraper != nil {
-		exclude = opt.scraper.Target()
-	}
-	var first, last time.Time
-	for {
-		var ok bool
-		if first, last, ok = commonWindow(repo, exclude); ok && coveredHours(first, last) >= trainHours {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(stdout, "interrupted before a full training window was ingested")
-			return nil
-		case <-time.After(poll):
-		}
-	}
-	*startAt = first
-	trainTo := first.Add(time.Duration(trainHours) * time.Hour)
-	simClock.Store(trainTo.Unix())
-	fmt.Fprintf(stdout, "training on ingested window %s → %s (%d series)\n",
-		first.Format("2006-01-02 15:04"), trainTo.Format("2006-01-02 15:04"), len(repo.Keys()))
-
-	res, err := core.RunFleet(ctx, repo, first, trainTo, core.FleetOptions{
-		Engine: opt.engine,
-		Freq:   timeseries.Hourly,
-		Store:  opt.store,
-		Obs:    o,
-	})
-	if err != nil {
-		return err
-	}
-	if res.Canceled {
-		fmt.Fprintf(stdout, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
-			res.Trained, res.Unprocessed)
-		return nil
-	}
-	fmt.Fprintf(stdout, "initial training: %d trained, %d failed in %v\n",
-		res.Trained, res.Failed, res.Elapsed.Round(time.Millisecond))
-	snapshotFleetForecasts(repo, opt.store)
-	ready.Store(true)
-	fmt.Fprintln(stdout, "ready — following the ingested feed")
-
-	simNow := trainTo
-	hour := 0
-	more := func() bool { return ctx.Err() == nil && (opt.hours == 0 || hour < opt.hours) }
-	for more() {
-		// Consume every hour the remote agents have completed: a bucket
-		// [simNow, simNow+1h) counts once a sample at or past its end
-		// has arrived on every series.
-		if _, l, ok := commonWindow(repo, exclude); ok {
-			for next := simNow.Add(time.Hour); more() && !l.Before(next); next = simNow.Add(time.Hour) {
-				if opt.scraper != nil {
-					opt.scraper.Sample(simNow)
-				}
-				simClock.Store(next.Unix())
-				observeHour(ctx, repo, mon, simNow, next)
-				if opt.trainSelf != nil {
-					opt.trainSelf(ctx)
-				}
-				mon.EvaluateAlerts(next)
-				if opt.plan != nil {
-					opt.plan(next)
-				}
-				simNow = next
-				hour++
-			}
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(poll):
-		}
-	}
-	fmt.Fprintf(stdout, "followed %d ingested hours (%s → %s)\n",
-		hour, trainTo.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
-	opt.dump()
-	return nil
-}
-
-// observeHour feeds the monitor every series' actual for the hour
-// [from, to); empty or gap buckets are skipped. When the key's latest
-// samples arrived over remote write, the observation (and any refit it
-// triggers) continues that batch's trace, so the push→store→observe→
-// refit chain shares one trace ID across both processes.
-func observeHour(ctx context.Context, repo *metricstore.Store, mon *monitor.Monitor, from, to time.Time) {
+// commonWindow intersects every key's covered time range. The self
+// target is skipped: its last sample always trails the feed (Step writes
+// it), so it would stall the hour consumption. ok is false while the
+// repository is empty.
+func commonWindow(repo *metricstore.Store) (first, last time.Time, ok bool) {
 	for _, k := range repo.Keys() {
-		ser, err := repo.Series(k, timeseries.Hourly, from, to)
-		if err != nil || ser.Len() == 0 || math.IsNaN(ser.Values[0]) {
-			continue
-		}
-		octx := ctx
-		if tp := repo.LastTrace(k); tp != "" {
-			if sc, perr := obs.ParseTraceParent(tp); perr == nil {
-				octx = obs.ContextWithRemote(ctx, sc)
-			}
-		}
-		mon.ObserveActual(octx, k.String(), from, ser.Values[0])
-	}
-}
-
-// commonWindow intersects every key's covered time range, skipping keys
-// under excludeTarget (the self-scrape pseudo-target, which is fed by
-// the consuming loop itself). ok is false while the repository is empty.
-func commonWindow(repo *metricstore.Store, excludeTarget string) (first, last time.Time, ok bool) {
-	for _, k := range repo.Keys() {
-		if excludeTarget != "" && k.Target == excludeTarget {
+		if k.Target == monitor.DefaultSelfTarget {
 			continue
 		}
 		f, l, kok := repo.TimeRange(k)
@@ -701,58 +362,6 @@ func commonWindow(repo *metricstore.Store, excludeTarget string) (first, last ti
 		ok = true
 	}
 	return first, last, ok
-}
-
-// snapshotForecast persists a compact copy of res's production
-// forecast into the repository, so the last promise made for k
-// survives a planner restart and calibration scoring can resume
-// against it.
-func snapshotForecast(repo *metricstore.Store, k metricstore.Key, res *core.Result, fittedAt time.Time) {
-	fc := res.Forecast
-	if repo == nil || fc == nil || len(fc.Mean) == 0 {
-		return
-	}
-	repo.PutForecast(metricstore.ForecastSnapshot{
-		Key: k, Start: fc.Start, Step: fc.Freq.Step(), Level: fc.Level,
-		Mean: fc.Mean, Lower: fc.Lower, Upper: fc.Upper, SE: fc.SE,
-		FittedAt: fittedAt,
-	})
-}
-
-// snapshotFleetForecasts persists the forecast of every champion the
-// initial fleet training stored.
-func snapshotFleetForecasts(repo *metricstore.Store, store *core.ModelStore) {
-	for _, key := range store.Keys() {
-		sm, _ := store.Peek(key)
-		if sm == nil || sm.Result == nil {
-			continue
-		}
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			continue
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		snapshotForecast(repo, k, sm.Result, sm.FittedAt)
-	}
-}
-
-// containsKey reports whether keys already holds key.
-func containsKey(keys []string, key string) bool {
-	for _, k := range keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
-// coveredHours counts the hourly buckets the closed sample range
-// [first, last] touches when first sits on a bucket boundary.
-func coveredHours(first, last time.Time) int {
-	if last.Before(first) {
-		return 0
-	}
-	return int(last.Sub(first)/time.Hour) + 1
 }
 
 // scaleSamples multiplies every repository sample in [from, to) by

@@ -186,7 +186,7 @@ func Table2(ctx context.Context, ds *Dataset, opt Options) ([]Table2Row, error) 
 	var rows []Table2Row
 	for _, metric := range dbsim.AllMetrics {
 		for _, inst := range ds.Cluster.Instances() {
-			key := inst + "/" + metric.String()
+			key := metricstore.Key{Target: inst, Metric: metric.String()}.String()
 			ser, ok := ds.Series[key]
 			if !ok {
 				return nil, fmt.Errorf("experiments: missing series %q", key)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/decompose"
+	"repro/internal/metricstore"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
@@ -68,7 +69,7 @@ func Figure2And3(ds *Dataset) *WorkloadFigure {
 	fig := &WorkloadFigure{Kind: ds.Kind}
 	for _, inst := range ds.Cluster.Instances() {
 		for _, m := range []string{"cpu", "memory", "logical_iops"} {
-			key := inst + "/" + m
+			key := metricstore.Key{Target: inst, Metric: m}.String()
 			ser, ok := ds.Series[key]
 			if !ok {
 				continue

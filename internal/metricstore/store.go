@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +48,20 @@ type Key struct {
 	Metric string
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the "target/metric" form the model
+// store, the monitor and the JSON endpoints key champions by.
 func (k Key) String() string { return k.Target + "/" + k.Metric }
+
+// ParseKey inverts Key.String. It splits at the last '/', so a target
+// may itself contain slashes; ok is false when there is no '/' or either
+// side is empty (the ingest wire rejects such samples).
+func ParseKey(s string) (k Key, ok bool) {
+	i := strings.LastIndexByte(s, '/')
+	if i <= 0 || i == len(s)-1 {
+		return Key{}, false
+	}
+	return Key{Target: s[:i], Metric: s[i+1:]}, true
+}
 
 // ForecastSnapshot is a compact copy of the last production forecast
 // stored for one key: the per-step mean, interval bounds and standard

@@ -13,6 +13,29 @@ import (
 
 var t0 = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
 
+func TestParseKey(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Key
+		ok   bool
+	}{
+		{"a/b/cpu", Key{Target: "a/b", Metric: "cpu"}, true},
+		{"cdbm011/cpu", Key{Target: "cdbm011", Metric: "cpu"}, true},
+		{"cpu", Key{}, false},
+		{"/cpu", Key{}, false},
+		{"a/", Key{}, false},
+		{"", Key{}, false},
+	} {
+		got, ok := ParseKey(tc.in)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("ParseKey(%q) = %+v, %v; want %+v, %v", tc.in, got, ok, tc.want, tc.ok)
+		}
+		if ok && got.String() != tc.in {
+			t.Errorf("ParseKey(%q).String() = %q", tc.in, got.String())
+		}
+	}
+}
+
 func TestPutAndRawOrdering(t *testing.T) {
 	s := New()
 	k := Key{Target: "db1", Metric: "cpu"}

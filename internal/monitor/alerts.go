@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metricstore"
 	"repro/internal/obs"
 )
 
@@ -64,8 +65,8 @@ type Rule struct {
 
 // matches reports whether the rule governs a workload key.
 func (r Rule) matches(key string) bool {
-	i := strings.LastIndexByte(key, '/')
-	return i >= 0 && key[i+1:] == r.Metric
+	k, ok := metricstore.ParseKey(key)
+	return ok && k.Metric == r.Metric
 }
 
 // Alert is the live state of one (workload key, rule) pair.

@@ -39,12 +39,11 @@ func SelfKeys(target string) []string {
 	if target == "" {
 		target = DefaultSelfTarget
 	}
-	return []string{
-		target + "/" + SelfMetricIngestRate,
-		target + "/" + SelfMetricFitSeconds,
-		target + "/" + SelfMetricQueueDepth,
-		target + "/" + SelfMetricHeapMB,
+	keys := make([]string, 0, 4)
+	for _, m := range []string{SelfMetricIngestRate, SelfMetricFitSeconds, SelfMetricQueueDepth, SelfMetricHeapMB} {
+		keys = append(keys, metricstore.Key{Target: target, Metric: m}.String())
 	}
+	return keys
 }
 
 // SelfScraper periodically samples the planner's own pipeline metrics
