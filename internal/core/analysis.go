@@ -21,8 +21,8 @@ import (
 // Analysis characterises a series, mirroring the decision diamonds of the
 // paper's Figure 4 flow.
 type Analysis struct {
-	// D is the suggested non-seasonal differencing order from repeated
-	// ADF tests (Box-Jenkins).
+	// D is the suggested non-seasonal differencing order (Box-Jenkins):
+	// 0 when the level series' ADF test rejects a unit root, else 1.
 	D int
 	// Stationary reports the ADF verdict on the raw series.
 	Stationary bool
@@ -116,23 +116,20 @@ func Analyze(s *timeseries.Series, opt AnalyzeOptions) (*Analysis, error) {
 
 	a := &Analysis{}
 
-	// Stationarity and differencing (Box-Jenkins, Figure 1c).
-	adf, err := stats.ADF(y, stats.ADFConstant, -1)
-	if err == nil {
+	// Stationarity and differencing (Box-Jenkins, Figure 1c): one ADF on
+	// the level series. d=0 when it rejects a unit root, otherwise d=1 —
+	// capacity metrics essentially never need d=2, so the paper's
+	// "usually should not be greater than" guidance caps d at 1 and
+	// further tests on the differenced series could not change it.
+	a.D = 1
+	if adf, err := stats.ADF(y, stats.ADFConstant, -1); err == nil {
 		a.Stationary = adf.Stationary
 		a.ADFStat = adf.Stat
 		a.ADFPValue = adf.PValue
+		if adf.Stationary {
+			a.D = 0
+		}
 	}
-	d, err := stats.SuggestDifferencing(y, stats.ADFConstant)
-	if err != nil {
-		d = 1
-	}
-	if d > 1 {
-		// Capacity metrics essentially never need d=2; cap per the
-		// paper's "usually should not be greater than" guidance.
-		d = 1
-	}
-	a.D = d
 
 	// Seasonality: candidate periods from the periodogram, anchored by
 	// the frequency's natural period.

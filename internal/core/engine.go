@@ -161,7 +161,8 @@ type Result struct {
 	// TestScore repeats the champion's hold-out accuracy.
 	TestScore metrics.Score
 	// TestForecast is the champion's forecast over the hold-out window
-	// (aligned with TestActual) — the yellow section of Figures 6 and 7.
+	// (aligned with TestActual), the one it was scored with — the yellow
+	// section of Figures 6 and 7.
 	TestForecast []float64
 	// TestActual is the hold-out data.
 	TestActual []float64
@@ -286,6 +287,14 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 		run.Fail(err)
 		return nil, err
 	}
+	// fail closes a failed stage: the stage span and the run span both
+	// carry err, which names the stage.
+	fail := func(sp *obs.Span, err error) (*Result, error) {
+		sp.Fail(err)
+		sp.End()
+		run.Fail(err)
+		return nil, err
+	}
 
 	// Stage 0 (Figure 4): fetch the series into working memory.
 	sp := run.Child("fetch")
@@ -301,18 +310,10 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	if miss := work.MissingCount(); miss > 0 {
 		sp.Set("missing", miss)
 		if frac := float64(miss) / float64(work.Len()); frac > 0.25 {
-			err := fmt.Errorf("interpolate: series %q is %.0f%% missing — too sparse to model", s.Name, frac*100)
-			sp.Fail(err)
-			sp.End()
-			run.Fail(err)
-			return nil, err
+			return fail(sp, fmt.Errorf("interpolate: series %q is %.0f%% missing — too sparse to model", s.Name, frac*100))
 		}
 		if _, err := work.Interpolate(); err != nil {
-			err = fmt.Errorf("interpolate: %w", err)
-			sp.Fail(err)
-			sp.End()
-			run.Fail(err)
-			return nil, err
+			return fail(sp, fmt.Errorf("interpolate: %w", err))
 		}
 	}
 	sp.End()
@@ -321,19 +322,11 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	sp = run.Child("split")
 	policy, err := PolicyFor(work.Freq)
 	if err != nil {
-		err = fmt.Errorf("split: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("split: %w", err))
 	}
 	train, test, err := policy.Split(work)
 	if err != nil {
-		err = fmt.Errorf("split: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("split: %w", err))
 	}
 	horizon := e.opt.Horizon
 	if horizon <= 0 {
@@ -347,11 +340,7 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	sp = run.Child("analyse")
 	an, err := Analyze(train, e.opt.Analyze)
 	if err != nil {
-		err = fmt.Errorf("analyse: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("analyse: %w", err))
 	}
 	sp.Set("period", an.Period)
 	sp.Set("d", an.D)
@@ -389,11 +378,7 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	cands := e.buildCandidates(train, an)
 	sp.Set("candidates", len(cands))
 	if len(cands) == 0 {
-		err := fmt.Errorf("build-candidates: no candidates for series %q", s.Name)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("build-candidates: no candidates for series %q", s.Name))
 	}
 	if e.opt.Warm != nil {
 		kept, skipped := shrinkCandidates(cands, e.opt.Warm)
@@ -417,31 +402,19 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	// Stage 5: fit and score in parallel.
 	sp = run.Child("fit-score")
 	sp.Set("workers", e.opt.Workers)
-	results := e.evaluate(ctx, train.Values, test.Values, an, cands, rc, sp)
+	results, testFCs := e.evaluate(ctx, train.Values, test.Values, an, cands, rc, sp)
 	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("fit-score: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("fit-score: %w", err))
 	}
 	sp.End()
 
-	// Rank: best hold-out RMSE first; failed fits sink.
+	// Rank: best hold-out RMSE first; failed fits sink. The champion's
+	// scoring forecast is the hold-out forecast the result reports.
 	sp = run.Child("champion")
-	sort.SliceStable(results, func(i, j int) bool {
-		if (results[i].Err == nil) != (results[j].Err == nil) {
-			return results[i].Err == nil
-		}
-		return results[i].Score.Better(results[j].Score)
-	})
+	sort.Stable(ranking{results, testFCs})
 	champion := results[0]
 	if champion.Err != nil {
-		err := fmt.Errorf("champion: every candidate failed; first error: %w", champion.Err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("champion: every candidate failed; first error: %w", champion.Err))
 	}
 	sp.Set("label", champion.Label)
 	sp.Set("rmse", champion.Score.RMSE)
@@ -451,25 +424,22 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 		"rmse", champion.Score.RMSE, "mapa", champion.Score.MAPA,
 		"candidates", len(results))
 
-	// Stage 6: champion's test-window forecast for reporting, and the
-	// production forecast from a full-series refit.
+	// Stage 6: the production forecast, from the champion refitted on
+	// the full series. The fitted model stays live for Result.Advanced.
 	sp = run.Child("forecast")
 	sp.Set("horizon", horizon)
-	testFC, err := e.refitForecast(ctx, champion, train.Values, an, rc, len(test.Values))
+	live, _, err := e.fit(ctx, &champion, work.Values, an, rc)
 	if err != nil {
-		err = fmt.Errorf("forecast: champion test forecast: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("forecast: champion production forecast: %w", err))
 	}
-	ff, err := e.fullForecast(ctx, champion, work.Values, an, rc, horizon)
+	mean, se, lower, upper, err := live.Forecast(horizon)
 	if err != nil {
-		err = fmt.Errorf("forecast: champion production forecast: %w", err)
-		sp.Fail(err)
-		sp.End()
-		run.Fail(err)
-		return nil, err
+		return fail(sp, fmt.Errorf("forecast: champion production forecast: %w", err))
+	}
+	var diag *arima.Diagnostics
+	if live.arima != nil {
+		d := live.arima.Diagnose()
+		diag = &d
 	}
 	sp.End()
 
@@ -504,21 +474,21 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 		Candidates:      results,
 		Champion:        champion,
 		TestScore:       champion.Score,
-		TestForecast:    testFC,
+		TestForecast:    testFCs[0],
 		TestActual:      append([]float64(nil), test.Values...),
 		TrainLen:        train.Len(),
 		TestLen:         test.Len(),
 		Elapsed:         time.Since(began),
 		ModelsEvaluated: len(results),
-		Diagnostics:     ff.diag,
+		Diagnostics:     diag,
 		Baselines:       baselines,
 		BeatsBaselines:  beats,
 		WarmStarted:     e.opt.Warm != nil,
-		Live:            ff.live,
+		Live:            live,
 		Forecast: &Prediction{
 			Start: work.End(),
 			Freq:  work.Freq,
-			Mean:  ff.mean, SE: ff.se, Lower: ff.lower, Upper: ff.upper,
+			Mean:  mean, SE: se, Lower: lower, Upper: upper,
 			Level: e.opt.Level,
 		},
 	}
@@ -618,17 +588,20 @@ func (e *Engine) buildCandidates(train *timeseries.Series, an *Analysis) []Candi
 }
 
 // evaluate fits every candidate on train and scores it on test, using a
-// worker pool. Each candidate gets a child span of parent recording its
-// family, order label, hold-out RMSE, duration and error, plus the
+// worker pool, returning the scored candidates and, index for index, the
+// hold-out forecast each was scored with (nil for failed candidates).
+// Each candidate gets a child span of parent recording its family, order
+// label, hold-out RMSE, duration and error, plus the
 // models_fitted_total / fit_errors_total counters and a per-technique
 // fit-duration histogram. Cancelling ctx stops feeding the pool, aborts
 // in-flight fits via their optimisers, and marks unqueued candidates
 // failed; a per-candidate panic is contained to that candidate.
-func (e *Engine) evaluate(ctx context.Context, train, test []float64, an *Analysis, cands []CandidateResult, rc *runCache, parent *obs.Span) []CandidateResult {
+func (e *Engine) evaluate(ctx context.Context, train, test []float64, an *Analysis, cands []CandidateResult, rc *runCache, parent *obs.Span) ([]CandidateResult, [][]float64) {
 	o := e.opt.Obs
 	jobs := make(chan int)
 	out := make([]CandidateResult, len(cands))
 	copy(out, cands)
+	fcs := make([][]float64, len(cands))
 	queued := make([]bool, len(cands))
 	var wg sync.WaitGroup
 	for w := 0; w < e.opt.Workers; w++ {
@@ -636,7 +609,7 @@ func (e *Engine) evaluate(ctx context.Context, train, test []float64, an *Analys
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				e.fitCandidate(ctx, &out[idx], train, test, an, rc, parent)
+				fcs[idx] = e.fitCandidate(ctx, &out[idx], train, test, an, rc, parent)
 			}
 		}()
 	}
@@ -660,12 +633,34 @@ feed:
 			o.Count("fit_errors_total", 1, obs.L("cause", obs.ErrClass(ctx.Err())))
 		}
 	}
-	return out
+	return out, fcs
+}
+
+// ranking orders candidates best hold-out RMSE first, failed fits last,
+// keeping each candidate's hold-out forecast at its index.
+type ranking struct {
+	res []CandidateResult
+	fcs [][]float64
+}
+
+func (r ranking) Len() int { return len(r.res) }
+
+func (r ranking) Less(i, j int) bool {
+	if (r.res[i].Err == nil) != (r.res[j].Err == nil) {
+		return r.res[i].Err == nil
+	}
+	return r.res[i].Score.Better(r.res[j].Score)
+}
+
+func (r ranking) Swap(i, j int) {
+	r.res[i], r.res[j] = r.res[j], r.res[i]
+	r.fcs[i], r.fcs[j] = r.fcs[j], r.fcs[i]
 }
 
 // fitCandidate fits and scores one candidate under its own span, fit
-// deadline and panic barrier, writing the outcome into c.
-func (e *Engine) fitCandidate(ctx context.Context, c *CandidateResult, train, test []float64, an *Analysis, rc *runCache, parent *obs.Span) {
+// deadline and panic barrier, writing the outcome into c and returning
+// the hold-out forecast it was scored with (nil when it failed).
+func (e *Engine) fitCandidate(ctx context.Context, c *CandidateResult, train, test []float64, an *Analysis, rc *runCache, parent *obs.Span) []float64 {
 	o := e.opt.Obs
 	csp := parent.Child("fit")
 	csp.Set("candidate", c.Label)
@@ -677,7 +672,7 @@ func (e *Engine) fitCandidate(ctx context.Context, c *CandidateResult, train, te
 		defer cancel()
 	}
 	began := time.Now()
-	fc, aic, err := e.fitScoreSafe(fctx, c, train, an, rc, len(test))
+	fc, aic, err := e.forecastHoldOut(fctx, c, train, an, rc, len(test))
 	c.FitDuration = time.Since(began)
 	c.AIC = aic
 	o.Count("models_fitted_total", 1)
@@ -697,7 +692,7 @@ func (e *Engine) fitCandidate(ctx context.Context, c *CandidateResult, train, te
 		}
 		csp.Fail(err)
 		csp.End()
-		return
+		return nil
 	}
 	c.Score = metrics.Evaluate(test, fc)
 	csp.Set("rmse", c.Score.RMSE)
@@ -705,11 +700,13 @@ func (e *Engine) fitCandidate(ctx context.Context, c *CandidateResult, train, te
 	csp.End()
 	o.Debug("candidate scored", "candidate", c.Label,
 		"rmse", c.Score.RMSE, "dur", c.FitDuration)
+	return fc
 }
 
-// fitScoreSafe wraps fitScore with a panic barrier: a numerical blow-up
-// inside one candidate's optimiser kills that candidate, not the run.
-func (e *Engine) fitScoreSafe(ctx context.Context, c *CandidateResult, train []float64, an *Analysis, rc *runCache, h int) (fc []float64, aic float64, err error) {
+// forecastHoldOut fits c on train and forecasts the h-step hold-out
+// window behind a panic barrier: a numerical blow-up inside one
+// candidate's optimiser kills that candidate, not the run.
+func (e *Engine) forecastHoldOut(ctx context.Context, c *CandidateResult, train []float64, an *Analysis, rc *runCache, h int) (fc []float64, aic float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.opt.Obs.Count("fit_panics_total", 1)
@@ -725,7 +722,15 @@ func (e *Engine) fitScoreSafe(ctx context.Context, c *CandidateResult, train []f
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, math.NaN(), fmt.Errorf("fit aborted: %w", cerr)
 	}
-	return e.fitScore(ctx, *c, train, an, rc, h)
+	lm, aic, err := e.fit(ctx, c, train, an, rc)
+	if err != nil {
+		return nil, math.NaN(), err
+	}
+	fc, _, _, _, err = lm.Forecast(h)
+	if err != nil {
+		return nil, math.NaN(), err
+	}
+	return fc, aic, nil
 }
 
 // markFailed records a candidate failure so ranking sinks it.
@@ -777,54 +782,44 @@ func (e *Engine) warmVec(label string) []float64 {
 	return w.Params
 }
 
-// fitScore fits one candidate on train and forecasts the test window.
-// ctx reaches the family optimisers, carrying cancellation and the
-// per-candidate fit deadline.
-func (e *Engine) fitScore(ctx context.Context, c CandidateResult, train []float64, an *Analysis, rc *runCache, h int) ([]float64, float64, error) {
-	if c.tbatsCfg != nil {
-		m, err := tbats.Fit(*c.tbatsCfg, train, tbats.FitOptions{Ctx: ctx, Obs: e.opt.Obs, WarmStart: e.warmVec(c.Label)})
-		if err != nil {
+// fit fits candidate c on y and returns it as a LiveModel positioned at
+// len(y), with its in-sample AIC. It holds the engine's one family
+// switch: scoring fits on the training window, the production forecast on
+// the full series. The run cache's shared differenced series and
+// regressor designs apply only at its training length. ctx reaches the
+// family optimisers, carrying cancellation and the per-candidate fit
+// deadline.
+func (e *Engine) fit(ctx context.Context, c *CandidateResult, y []float64, an *Analysis, rc *runCache) (*LiveModel, float64, error) {
+	lm := &LiveModel{family: candidateFamily(c), level: e.opt.Level, n: len(y)}
+	warm := e.warmVec(c.Label)
+	var err error
+	switch {
+	case c.tbatsCfg != nil:
+		if lm.tbats, err = tbats.Fit(*c.tbatsCfg, y, tbats.FitOptions{Ctx: ctx, Obs: e.opt.Obs, WarmStart: warm}); err != nil {
 			return nil, math.NaN(), err
 		}
-		fc, err := m.Forecast(h, e.opt.Level)
-		if err != nil {
+		return lm, lm.tbats.AIC, nil
+	case c.isETS:
+		if lm.ets, err = ets.Fit(c.etsKind, y, ets.FitOptions{Period: an.Period, Ctx: ctx, Obs: e.opt.Obs, WarmStart: warm}); err != nil {
 			return nil, math.NaN(), err
 		}
-		return fc.Mean, m.AIC, nil
+		return lm, lm.ets.AIC, nil
 	}
-	if c.isETS {
-		m, err := ets.Fit(c.etsKind, train, ets.FitOptions{Period: an.Period, Ctx: ctx, Obs: e.opt.Obs, WarmStart: e.warmVec(c.Label)})
-		if err != nil {
-			return nil, math.NaN(), err
-		}
-		fc, err := m.Forecast(h, e.opt.Level)
-		if err != nil {
-			return nil, math.NaN(), err
-		}
-		return fc.Mean, m.AIC, nil
-	}
-	regs, err := rc.regsFor(e, c, an, len(train))
-	if err != nil {
+	if lm.regs, err = rc.regsFor(e, *c, an, len(y)); err != nil {
 		return nil, math.NaN(), err
 	}
 	var prediff []float64
-	if regs.Empty() {
-		prediff = rc.prediffFor(c.cand.Spec, len(train))
+	if lm.regs.Empty() {
+		prediff = rc.prediffFor(c.cand.Spec, len(y))
 	}
 	ws := rc.workspace()
 	defer rc.release(ws)
-	m, err := arima.Fit(c.cand.Spec, train, regs.SliceTrain(len(train)), arima.FitOptions{
-		Ctx: ctx, Obs: e.opt.Obs, Workspace: ws, PrediffedY: prediff,
-		WarmStart: e.warmVec(c.Label),
-	})
-	if err != nil {
+	if lm.arima, err = arima.Fit(c.cand.Spec, y, lm.regs.SliceTrain(len(y)), arima.FitOptions{
+		Ctx: ctx, Obs: e.opt.Obs, Workspace: ws, PrediffedY: prediff, WarmStart: warm,
+	}); err != nil {
 		return nil, math.NaN(), err
 	}
-	fc, err := m.Forecast(h, regs.Future(len(train), h), e.opt.Level)
-	if err != nil {
-		return nil, math.NaN(), err
-	}
-	return fc.Mean, m.AIC, nil
+	return lm, lm.arima.AIC, nil
 }
 
 // regressorsFor materialises the exogenous design for a candidate.
@@ -845,72 +840,4 @@ func (e *Engine) regressorsFor(c CandidateResult, an *Analysis, n int) (*Regress
 		parts = append(parts, fr)
 	}
 	return Merge(parts...), nil
-}
-
-// refitForecast reproduces the champion's test-window forecast (train
-// fit) for charting.
-func (e *Engine) refitForecast(ctx context.Context, c CandidateResult, train []float64, an *Analysis, rc *runCache, h int) ([]float64, error) {
-	fc, _, err := e.fitScore(ctx, c, train, an, rc, h)
-	return fc, err
-}
-
-// fullFit bundles the production forecast of the full-series champion
-// refit together with the fitted model it came from, retained as the
-// run's LiveModel.
-type fullFit struct {
-	mean, se, lower, upper []float64
-	diag                   *arima.Diagnostics
-	live                   *LiveModel
-}
-
-// fullForecast refits the champion on the whole series and produces the
-// production forecast with error bars. The fitted model is kept alive in
-// the returned LiveModel so later observations can advance its state
-// without refitting.
-func (e *Engine) fullForecast(ctx context.Context, c CandidateResult, full []float64, an *Analysis, rc *runCache, h int) (*fullFit, error) {
-	live := &LiveModel{family: candidateFamily(&c), level: e.opt.Level, n: len(full)}
-	if c.tbatsCfg != nil {
-		m, ferr := tbats.Fit(*c.tbatsCfg, full, tbats.FitOptions{Ctx: ctx, Obs: e.opt.Obs, WarmStart: e.warmVec(c.Label)})
-		if ferr != nil {
-			return nil, ferr
-		}
-		fc, ferr := m.Forecast(h, e.opt.Level)
-		if ferr != nil {
-			return nil, ferr
-		}
-		live.tbats = m
-		return &fullFit{mean: fc.Mean, se: fc.SE, lower: fc.Lower, upper: fc.Upper, live: live}, nil
-	}
-	if c.isETS {
-		m, ferr := ets.Fit(c.etsKind, full, ets.FitOptions{Period: an.Period, Ctx: ctx, Obs: e.opt.Obs, WarmStart: e.warmVec(c.Label)})
-		if ferr != nil {
-			return nil, ferr
-		}
-		fc, ferr := m.Forecast(h, e.opt.Level)
-		if ferr != nil {
-			return nil, ferr
-		}
-		live.ets = m
-		return &fullFit{mean: fc.Mean, se: fc.SE, lower: fc.Lower, upper: fc.Upper, live: live}, nil
-	}
-	regs, ferr := rc.regsFor(e, c, an, len(full))
-	if ferr != nil {
-		return nil, ferr
-	}
-	ws := rc.workspace()
-	defer rc.release(ws)
-	m, ferr := arima.Fit(c.cand.Spec, full, regs.SliceTrain(len(full)), arima.FitOptions{
-		Ctx: ctx, Obs: e.opt.Obs, Workspace: ws, WarmStart: e.warmVec(c.Label),
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	fc, ferr := m.Forecast(h, regs.Future(len(full), h), e.opt.Level)
-	if ferr != nil {
-		return nil, ferr
-	}
-	d := m.Diagnose()
-	live.arima = m
-	live.regs = regs
-	return &fullFit{mean: fc.Mean, se: fc.SE, lower: fc.Lower, upper: fc.Upper, diag: &d, live: live}, nil
 }

@@ -120,10 +120,12 @@ func shrinkCandidates(cands []CandidateResult, w *WarmStart) (kept []CandidateRe
 	return kept, len(cands) - len(kept)
 }
 
-// LiveModel is the champion refitted on the full series, retained with its
-// regressor design so the serve loop can fold newly observed points into
-// the filter state in place (Advance) and regenerate forecasts from the
-// new origin (Forecast) without touching an optimiser.
+// LiveModel is a fitted candidate, retained with its regressor design so
+// newly observed points can be folded into the filter state in place
+// (Advance) and forecasts regenerated from the new origin (Forecast)
+// without touching an optimiser. Scoring forecasts the hold-out window
+// from a training-window LiveModel; Result.Live is the champion refitted
+// on the full series, which the serve loop advances.
 type LiveModel struct {
 	mu     sync.Mutex
 	family string

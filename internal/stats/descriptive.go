@@ -1,8 +1,8 @@
 // Package stats implements the statistical machinery the learning engine
 // depends on: descriptive statistics, probability distributions,
 // autocorrelation analysis (ACF/PACF), ordinary least squares with
-// inference, and the stationarity tests (ADF, KPSS) and residual
-// diagnostics (Ljung-Box) referenced in §4 of the paper.
+// inference, and the ADF stationarity test and residual diagnostics
+// (Ljung-Box) referenced in §4 of the paper.
 package stats
 
 import (

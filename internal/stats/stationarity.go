@@ -49,12 +49,12 @@ func ADF(x []float64, reg ADFRegression, lags int) (ADFResult, error) {
 			maxLag = n/2 - 2
 		}
 	}
+	// Δy, shared by every candidate lag's regression.
+	dy := make([]float64, n-1)
+	for t := 1; t < n; t++ {
+		dy[t-1] = x[t] - x[t-1]
+	}
 	run := func(p int) (tstat float64, aic float64, err error) {
-		// Build Δy and regressors.
-		dy := make([]float64, n-1)
-		for t := 1; t < n; t++ {
-			dy[t-1] = x[t] - x[t-1]
-		}
 		// Usable sample: t = p .. len(dy)-1 (index into dy).
 		m := len(dy) - p
 		if m < 8+p {
@@ -179,86 +179,4 @@ func adfPValue(t float64, reg ADFRegression) float64 {
 		}
 	}
 	return last[1]
-}
-
-// KPSSResult reports a KPSS level-stationarity test.
-type KPSSResult struct {
-	Stat       float64
-	Lags       int  // Bartlett window width for the long-run variance
-	Stationary bool // true when level-stationarity is NOT rejected at 5%
-	Crit5      float64
-}
-
-// KPSS runs the KPSS test of the null hypothesis that x is level
-// stationary. It complements ADF: ADF's null is a unit root, KPSS's null
-// is stationarity; the engine consults both before choosing d.
-func KPSS(x []float64) (KPSSResult, error) {
-	n := len(x)
-	if n < 12 {
-		return KPSSResult{}, fmt.Errorf("stats: KPSS needs at least 12 observations, got %d", n)
-	}
-	m := Mean(x)
-	e := make([]float64, n)
-	for i, v := range x {
-		e[i] = v - m
-	}
-	// Partial sums.
-	s := make([]float64, n)
-	var run float64
-	for i, v := range e {
-		run += v
-		s[i] = run
-	}
-	var num float64
-	for _, v := range s {
-		num += v * v
-	}
-	num /= float64(n) * float64(n)
-	// Newey-West long-run variance with Bartlett kernel.
-	lag := int(math.Floor(4 * math.Pow(float64(n)/100, 0.25)))
-	var gamma0 float64
-	for _, v := range e {
-		gamma0 += v * v
-	}
-	gamma0 /= float64(n)
-	lrv := gamma0
-	for k := 1; k <= lag; k++ {
-		var gk float64
-		for t := k; t < n; t++ {
-			gk += e[t] * e[t-k]
-		}
-		gk /= float64(n)
-		w := 1 - float64(k)/float64(lag+1)
-		lrv += 2 * w * gk
-	}
-	if lrv <= 0 {
-		lrv = gamma0
-	}
-	stat := num / lrv
-	const crit5 = 0.463
-	return KPSSResult{Stat: stat, Lags: lag, Stationary: stat < crit5, Crit5: crit5}, nil
-}
-
-// SuggestDifferencing returns the differencing order d in {0,1,2} that makes
-// x stationary, by repeated ADF tests (the Box-Jenkins procedure in §4.1).
-// The paper notes D/d "usually should not be greater than 2".
-func SuggestDifferencing(x []float64, reg ADFRegression) (int, error) {
-	work := make([]float64, len(x))
-	copy(work, x)
-	for d := 0; d <= 2; d++ {
-		res, err := ADF(work, reg, -1)
-		if err != nil {
-			return d, err
-		}
-		if res.Stationary {
-			return d, nil
-		}
-		// Difference once more.
-		next := make([]float64, len(work)-1)
-		for i := 1; i < len(work); i++ {
-			next[i-1] = work[i] - work[i-1]
-		}
-		work = next
-	}
-	return 2, nil
 }

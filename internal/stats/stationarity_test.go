@@ -90,69 +90,6 @@ func TestADFPValueMonotone(t *testing.T) {
 	}
 }
 
-func TestKPSSStationary(t *testing.T) {
-	x := ar1(800, 0.3, 24)
-	res, err := KPSS(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stationary {
-		t.Fatalf("stationary series rejected: stat=%v", res.Stat)
-	}
-}
-
-func TestKPSSRandomWalk(t *testing.T) {
-	x := randomWalk(800, 25)
-	res, err := KPSS(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stationary {
-		t.Fatalf("random walk passed KPSS: stat=%v", res.Stat)
-	}
-}
-
-func TestKPSSTooShort(t *testing.T) {
-	if _, err := KPSS([]float64{1, 2}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestSuggestDifferencing(t *testing.T) {
-	// Stationary: d = 0.
-	x := ar1(500, 0.4, 26)
-	d, err := SuggestDifferencing(x, ADFConstant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Fatalf("d = %d, want 0", d)
-	}
-	// Random walk: d = 1.
-	w := randomWalk(500, 27)
-	d, err = SuggestDifferencing(w, ADFConstant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 1 {
-		t.Fatalf("d = %d, want 1", d)
-	}
-	// Integrated twice: d = 2.
-	i2 := make([]float64, len(w))
-	var acc float64
-	for i, v := range w {
-		acc += v
-		i2[i] = acc
-	}
-	d, err = SuggestDifferencing(i2, ADFConstant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2 {
-		t.Fatalf("d = %d, want 2", d)
-	}
-}
-
 func TestADFFixedLag(t *testing.T) {
 	x := ar1(300, 0.5, 28)
 	res, err := ADF(x, ADFConstant, 3)

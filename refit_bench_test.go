@@ -38,6 +38,20 @@ func refitBenchEngine(b *testing.B, warm *core.WarmStart) *core.Engine {
 	return eng
 }
 
+// BenchmarkAnalyze measures the engine's analysis stage alone (ADF,
+// periodogram, shock detection, decomposition, correlograms) on the
+// refit benchmarks' series.
+func BenchmarkAnalyze(b *testing.B) {
+	b.ReportAllocs()
+	ser := refitBenchSeries(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Analyze(ser, core.AnalyzeOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRefitCold measures the seed behaviour: the full pruned grid,
 // every candidate optimised from the cold simplex. This is the per-refit
 // cost the incremental-refit tiers are gated against (BENCH_PR10.json).
