@@ -25,10 +25,11 @@ test-short:
 
 # Race-detector pass over the concurrent paths (parallel fit workers,
 # fleet runner, metric repository, obs registry/spans), plus a dedicated
-# full-length pass over the pooled-workspace fit paths that -short trims.
+# full-length pass over the pooled-workspace fit paths that -short trims
+# and the kernel-equivalence oracles (sparse-lag CSS, raw-slice QR).
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'Pool|Parallel|Concurrent' ./internal/core/ ./internal/arima/
+	$(GO) test -race -run 'Pool|Parallel|Concurrent|Oracle' ./internal/core/ ./internal/arima/ ./internal/linalg/
 
 # One benchmark per paper table/figure plus the ablations (reduced sizes).
 bench:
@@ -78,7 +79,7 @@ bench-baseline-refit:
 		$(REFIT_RATIOS) bench_refit_output.txt
 
 bench-check-refit:
-	$(GO) test -run '^$$' -bench '$(REFIT_BENCH_GATE)' -benchmem -benchtime 1x -count 1 . > bench_refit_output.txt
+	$(GO) test -run '^$$' -bench '$(REFIT_BENCH_GATE)' -benchmem -benchtime 3x -count 1 . > bench_refit_output.txt
 	$(GO) run ./cmd/benchcheck -baseline BENCH_PR10.json $(REFIT_RATIOS) bench_refit_output.txt
 
 # Full-size reproduction of the evaluation tables (42 days, Table 1 splits).

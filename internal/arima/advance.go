@@ -73,27 +73,10 @@ func (m *Model) Advance(points []float64, newExog [][]float64) error {
 	arFull := expandSeasonal(m.AR, m.SAR, spec.S)
 	maFull := expandSeasonal(m.MA, m.SMA, spec.S)
 	warm := spec.MaxARLag()
-	css := m.css
-	for _, wt := range wTail {
-		m.w = append(m.w, wt)
-		t := len(m.w) - 1
-		v := wt - m.Intercept
-		for i, phi := range arFull {
-			if phi != 0 {
-				v -= phi * m.w[t-1-i]
-			}
-		}
-		for j, th := range maFull {
-			if th == 0 {
-				continue
-			}
-			if t-1-j >= 0 {
-				v += th * m.Residuals[t-1-j]
-			}
-		}
-		m.Residuals = append(m.Residuals, v)
-		css += v * v
-	}
+	from := len(m.w)
+	m.w = append(m.w, wTail...)
+	m.Residuals = append(m.Residuals, make([]float64, k)...)
+	css := innovations(m.w, m.Intercept, new(lagLists).set(arFull, maFull), m.Residuals, from, m.css)
 	m.css = css
 
 	neff := len(m.w) - warm

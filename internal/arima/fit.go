@@ -291,8 +291,8 @@ func fit(spec Spec, y []float64, exog [][]float64, opt FitOptions) (*Model, erro
 		return nil, fmt.Errorf("arima: fit aborted: %w", optimize.AbortCause(opt.Ctx))
 	}
 
-	// Final pass with the allocating helpers: the model owns fresh
-	// residual / coefficient slices, never workspace aliases.
+	// Final pass: the model owns fresh residual / coefficient slices,
+	// never workspace aliases (only the lag lists are workspace scratch).
 	c, ar, ma, sar, sma, beta := unpack(result.X)
 	arFull := expandSeasonal(ar, sar, spec.S)
 	maFull := expandSeasonal(ma, sma, spec.S)
@@ -300,7 +300,8 @@ func fit(spec Spec, y []float64, exog [][]float64, opt FitOptions) (*Model, erro
 	if len(beta) > 0 {
 		w = makeW(beta, &ws.weval)
 	}
-	css, resid := conditionalSS(w, c, arFull, maFull)
+	resid := make([]float64, len(w))
+	css := conditionalSSIn(w, c, arFull, maFull, resid, &ws.lags)
 	warm := spec.MaxARLag()
 	neff := len(w) - warm
 	if neff <= 0 {
@@ -376,31 +377,98 @@ func allZero(beta []float64) bool {
 // residuals are zero.
 func conditionalSS(w []float64, c float64, arFull, maFull []float64) (css float64, resid []float64) {
 	resid = make([]float64, len(w))
-	return conditionalSSIn(w, c, arFull, maFull, resid), resid
+	return conditionalSSIn(w, c, arFull, maFull, resid, new(lagLists)), resid
 }
 
 // conditionalSSIn is the workspace core of conditionalSS: it writes the
-// innovations into resid (pre-zeroed, length len(w)) and returns the CSS.
-func conditionalSSIn(w []float64, c float64, arFull, maFull []float64, resid []float64) (css float64) {
-	n := len(w)
+// innovations into resid (length len(w), zero over [0, len(arFull))) and
+// returns the CSS. lags is scratch for the sparse form of the polynomials.
+func conditionalSSIn(w []float64, c float64, arFull, maFull []float64, resid []float64, lags *lagLists) (css float64) {
 	warm := len(arFull)
-	if warm > n {
+	if warm > len(w) {
 		return math.Inf(1)
 	}
-	for t := warm; t < n; t++ {
+	return innovations(w, c, lags.set(arFull, maFull), resid, warm, 0)
+}
+
+// lagTerm is one non-zero coefficient of an expanded lag polynomial.
+type lagTerm struct {
+	coef float64
+	lag  int // 1-based: coef multiplies the value lag steps back
+}
+
+// lagLists holds the non-zero terms of an expanded AR and MA polynomial
+// pair, in lag order.
+type lagLists struct{ ar, ma []lagTerm }
+
+// set fills l from the dense polynomials, reusing its storage, and
+// returns l.
+func (l *lagLists) set(arFull, maFull []float64) *lagLists {
+	l.ar = nonZeroLags(l.ar, arFull)
+	l.ma = nonZeroLags(l.ma, maFull)
+	return l
+}
+
+// nonZeroLags refills dst with the non-zero entries of coeffs, allocating
+// only when dst cannot hold every entry. NaN counts as non-zero, exactly
+// as the `!= 0` test of a dense sweep treats it.
+func nonZeroLags(dst []lagTerm, coeffs []float64) []lagTerm {
+	if cap(dst) < len(coeffs) {
+		dst = make([]lagTerm, 0, len(coeffs))
+	}
+	dst = dst[:0]
+	for i, v := range coeffs {
+		if v != 0 {
+			dst = append(dst, lagTerm{coef: v, lag: i + 1})
+		}
+	}
+	return dst
+}
+
+// innovations runs the recursion of equation (2) for rows [from, len(w)),
+// writing a_t into resid and adding each a_t² to css, which it returns.
+// resid[:from] must hold the earlier innovations (zero before the AR
+// warm-up) and from must be at least the longest AR lag.
+//
+// Only the non-zero lags are visited, in lag order, so every row performs
+// the same floating-point operations in the same order as a dense sweep
+// over the expanded polynomials that skips zero coefficients: the result
+// is bit-identical, at a cost set by the handful of non-zero lags rather
+// than the p + s·P and q + s·Q entries of the expanded seasonal
+// polynomials.
+func innovations(w []float64, c float64, lags *lagLists, resid []float64, from int, css float64) float64 {
+	ar, ma := lags.ar, lags.ma
+	n := len(w)
+	// Rows before the longest MA lag reach back past the series start for
+	// some lags; those terms are pre-sample residuals and contribute zero.
+	split := from
+	if len(ma) > 0 && ma[len(ma)-1].lag > split {
+		split = ma[len(ma)-1].lag
+	}
+	if split > n {
+		split = n
+	}
+	t := from
+	for ; t < split; t++ {
 		v := w[t] - c
-		for i, phi := range arFull {
-			if phi != 0 {
-				v -= phi * w[t-1-i]
+		for _, a := range ar {
+			v -= a.coef * w[t-a.lag]
+		}
+		for _, m := range ma {
+			if t-m.lag >= 0 {
+				v += m.coef * resid[t-m.lag]
 			}
 		}
-		for j, th := range maFull {
-			if th == 0 {
-				continue
-			}
-			if t-1-j >= 0 {
-				v += th * resid[t-1-j]
-			}
+		resid[t] = v
+		css += v * v
+	}
+	for ; t < n; t++ {
+		v := w[t] - c
+		for _, a := range ar {
+			v -= a.coef * w[t-a.lag]
+		}
+		for _, m := range ma {
+			v += m.coef * resid[t-m.lag]
 		}
 		resid[t] = v
 		css += v * v

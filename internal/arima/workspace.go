@@ -25,8 +25,10 @@ type Workspace struct {
 	// is overwritten on every objective evaluation.
 	ns, w0, weval []float64
 
-	// Objective scratch: expanded lag polynomials and CSS residuals.
+	// Objective scratch: expanded lag polynomials, their non-zero terms
+	// and CSS residuals.
 	arFull, maFull, resid []float64
+	lags                  lagLists
 	// Polynomial-multiplication scratch for expandSeasonalInto.
 	polyA, polyB, polyFull []float64
 
@@ -140,11 +142,13 @@ func Prediff(y []float64, d, D, s int) []float64 {
 }
 
 // conditionalSSInto is conditionalSS writing residuals into the
-// workspace buffer; the returned slice aliases ws.resid.
+// workspace buffer; the returned slice aliases ws.resid. Only the AR
+// warm-up prefix is cleared: the recursion overwrites every later entry
+// before any row reads it.
 func (ws *Workspace) conditionalSSInto(w []float64, c float64, arFull, maFull []float64) (css float64, resid []float64) {
 	resid = grow(&ws.resid, len(w))
-	zero(resid)
-	css = conditionalSSIn(w, c, arFull, maFull, resid)
+	zero(resid[:min(len(arFull), len(w))])
+	css = conditionalSSIn(w, c, arFull, maFull, resid, &ws.lags)
 	return css, resid
 }
 

@@ -40,6 +40,22 @@ func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
+// Reset makes m a zeroed rows×cols matrix, reusing its storage when it is
+// large enough; the zero Matrix is ready to Reset. It panics if either
+// dimension is not positive.
+func (m *Matrix) Reset(rows, cols int) {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", rows, cols))
+	}
+	if n := rows * cols; cap(m.data) < n {
+		m.data = make([]float64, n)
+	} else {
+		m.data = m.data[:n]
+		clear(m.data)
+	}
+	m.rows, m.cols = rows, cols
+}
+
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -153,19 +169,25 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 // MulVec returns the matrix-vector product m×v.
 // It panics if len(v) != Cols().
 func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(v)))
-	}
 	out := make([]float64, m.rows)
+	m.MulVecInto(out, v)
+	return out
+}
+
+// MulVecInto writes m×v into dst (length Rows).
+// It panics if len(v) != Cols() or len(dst) != Rows().
+func (m *Matrix) MulVecInto(dst, v []float64) {
+	if len(v) != m.cols || len(dst) != m.rows {
+		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d into %d", m.rows, m.cols, len(v), len(dst)))
+	}
 	for i := 0; i < m.rows; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, a := range row {
 			s += a * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
 
 // Scale multiplies every element by s in place and returns m.

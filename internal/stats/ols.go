@@ -25,6 +25,37 @@ type OLSResult struct {
 // (include a ones column yourself if an intercept is wanted).
 // It returns an error when the design is rank deficient or n <= k.
 func OLS(x *linalg.Matrix, y []float64) (*OLSResult, error) {
+	return new(olsScratch).fit(x, y)
+}
+
+// olsScratch holds the storage of an OLS fit. Fits through one scratch
+// reuse it, so a run of regressions (the ADF lag search) allocates only
+// for a design larger than every earlier one. A fit's result aliases the
+// scratch and stays valid until the next fit.
+type olsScratch struct {
+	qr   linalg.QR
+	rinv linalg.Matrix
+	work []float64
+	res  OLSResult
+}
+
+// resize returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are stale: callers overwrite them.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// reserveRows sizes the row-length buffers for designs of up to rows rows.
+func (s *olsScratch) reserveRows(rows int) {
+	s.work = resize(s.work, rows)
+	s.res.Fitted = resize(s.res.Fitted, rows)
+	s.res.Residuals = resize(s.res.Residuals, rows)
+}
+
+func (s *olsScratch) fit(x *linalg.Matrix, y []float64) (*OLSResult, error) {
 	n, k := x.Rows(), x.Cols()
 	if len(y) != n {
 		panic("stats: OLS dimension mismatch")
@@ -32,37 +63,42 @@ func OLS(x *linalg.Matrix, y []float64) (*OLSResult, error) {
 	if n <= k {
 		return nil, fmt.Errorf("stats: OLS needs n > k (n=%d, k=%d)", n, k)
 	}
-	qr := linalg.NewQR(x)
-	beta, err := qr.Solve(y)
-	if err != nil {
+	s.qr.Factorize(x)
+	s.work = resize(s.work, n)
+	r := &s.res
+	r.N, r.K = n, k
+	r.Coef = resize(r.Coef, k)
+	beta := r.Coef
+	if err := s.qr.SolveInto(beta, s.work, y); err != nil {
 		return nil, fmt.Errorf("stats: OLS design is rank deficient: %w", err)
 	}
-	fitted := x.MulVec(beta)
-	resid := make([]float64, n)
+	r.Fitted = resize(r.Fitted, n)
+	x.MulVecInto(r.Fitted, beta)
+	r.Residuals = resize(r.Residuals, n)
+	resid := r.Residuals
 	var sse float64
 	for i := range resid {
-		resid[i] = y[i] - fitted[i]
+		resid[i] = y[i] - r.Fitted[i]
 		sse += resid[i] * resid[i]
 	}
-	sigma2 := sse / float64(n-k)
+	r.Sigma2 = sse / float64(n-k)
 
 	// (XᵀX)⁻¹ = R⁻¹·R⁻ᵀ from the QR factor.
-	rinv, err := qr.RInverse()
-	if err != nil {
+	if err := s.qr.RInverseInto(&s.rinv); err != nil {
 		return nil, fmt.Errorf("stats: OLS R factor singular: %w", err)
 	}
-	stderr := make([]float64, k)
-	tstat := make([]float64, k)
+	r.StdErr = resize(r.StdErr, k)
+	r.TStat = resize(r.TStat, k)
 	for i := 0; i < k; i++ {
 		var v float64
 		for j := 0; j < k; j++ {
-			v += rinv.At(i, j) * rinv.At(i, j)
+			v += s.rinv.At(i, j) * s.rinv.At(i, j)
 		}
-		stderr[i] = math.Sqrt(sigma2 * v)
-		if stderr[i] > 0 {
-			tstat[i] = beta[i] / stderr[i]
+		r.StdErr[i] = math.Sqrt(r.Sigma2 * v)
+		if r.StdErr[i] > 0 {
+			r.TStat[i] = beta[i] / r.StdErr[i]
 		} else {
-			tstat[i] = math.NaN()
+			r.TStat[i] = math.NaN()
 		}
 	}
 
@@ -72,15 +108,11 @@ func OLS(x *linalg.Matrix, y []float64) (*OLSResult, error) {
 		d := v - my
 		tss += d * d
 	}
-	r2 := math.NaN()
+	r.RSquared = math.NaN()
 	if tss > 0 {
-		r2 = 1 - sse/tss
+		r.RSquared = 1 - sse/tss
 	}
-	return &OLSResult{
-		Coef: beta, StdErr: stderr, TStat: tstat,
-		Residuals: resid, Fitted: fitted,
-		Sigma2: sigma2, RSquared: r2, N: n, K: k,
-	}, nil
+	return r, nil
 }
 
 // Ones returns a ones vector of length n, the intercept column for

@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // ADFRegression selects the deterministic terms included in the
@@ -54,35 +56,35 @@ func ADF(x []float64, reg ADFRegression, lags int) (ADFResult, error) {
 	for t := 1; t < n; t++ {
 		dy[t-1] = x[t] - x[t-1]
 	}
+	k0 := 2 // intercept and lagged level
+	if reg == ADFTrend {
+		k0 = 3
+	}
+	// One design and one OLS scratch serve every lag. The search runs from
+	// the widest design down, so the first regression sizes the scratch for
+	// all the others.
+	var design linalg.Matrix
+	var sc olsScratch
+	sc.reserveRows(len(dy))
 	run := func(p int) (tstat float64, aic float64, err error) {
 		// Usable sample: t = p .. len(dy)-1 (index into dy).
 		m := len(dy) - p
 		if m < 8+p {
 			return 0, 0, fmt.Errorf("stats: ADF sample too short for %d lags", p)
 		}
-		y := make([]float64, m)
-		lagLevel := make([]float64, m)
-		trend := make([]float64, m)
-		lagDiffs := make([][]float64, p)
-		for i := range lagDiffs {
-			lagDiffs[i] = make([]float64, m)
-		}
+		design.Reset(m, k0+p)
 		for i := 0; i < m; i++ {
 			t := p + i // index into dy
-			y[i] = dy[t]
-			lagLevel[i] = x[t] // x index of y_{t-1} relative to dy[t] = x[t+1]-x[t]
-			trend[i] = float64(t)
+			design.Set(i, 0, 1)
+			design.Set(i, 1, x[t]) // y_{t-1} relative to dy[t] = x[t+1]-x[t]
+			if reg == ADFTrend {
+				design.Set(i, 2, float64(t))
+			}
 			for j := 0; j < p; j++ {
-				lagDiffs[j][i] = dy[t-1-j]
+				design.Set(i, k0+j, dy[t-1-j])
 			}
 		}
-		cols := [][]float64{lagLevel}
-		if reg == ADFTrend {
-			cols = append(cols, trend)
-		}
-		cols = append(cols, lagDiffs...)
-		design := DesignMatrix(true, cols...)
-		res, err := OLS(design, y)
+		res, err := sc.fit(&design, dy[p:])
 		if err != nil {
 			return 0, 0, err
 		}
@@ -98,24 +100,33 @@ func ADF(x []float64, reg ADFRegression, lags int) (ADFResult, error) {
 		return tstat, aic, nil
 	}
 
-	bestLag := maxLag
+	type lagFit struct {
+		tstat, aic float64
+		err        error
+	}
+	lo := maxLag
 	if lags < 0 {
-		bestAIC := math.Inf(1)
-		for p := 0; p <= maxLag; p++ {
-			_, aic, err := run(p)
-			if err != nil {
-				continue
-			}
-			if aic < bestAIC {
-				bestAIC = aic
-				bestLag = p
-			}
+		lo = 0
+	}
+	fits := make([]lagFit, maxLag+1)
+	for p := maxLag; p >= lo; p-- {
+		f := &fits[p]
+		f.tstat, f.aic, f.err = run(p)
+	}
+	// Select upward, so a tie goes to the smallest lag.
+	bestLag := maxLag
+	bestAIC := math.Inf(1)
+	for p := lo; p <= maxLag; p++ {
+		if f := fits[p]; f.err == nil && f.aic < bestAIC {
+			bestAIC = f.aic
+			bestLag = p
 		}
 	}
-	tstat, _, err := run(bestLag)
-	if err != nil {
-		return ADFResult{}, err
+	best := fits[bestLag]
+	if best.err != nil {
+		return ADFResult{}, best.err
 	}
+	tstat := best.tstat
 
 	c1, c5, c10 := adfCriticalValues(reg, n)
 	res := ADFResult{
