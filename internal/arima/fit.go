@@ -436,6 +436,15 @@ func nonZeroLags(dst []lagTerm, coeffs []float64) []lagTerm {
 // is bit-identical, at a cost set by the handful of non-zero lags rather
 // than the p + s·P and q + s·Q entries of the expanded seasonal
 // polynomials.
+//
+// Past the longest MA lag the rows run in blocks of rowBlock. A row's AR
+// sum reads only w, so the block's rows subtract each AR term from
+// rowBlock independent accumulators, which the CPU overlaps instead of
+// waiting on one row's chain of dependent subtractions. The partial sums
+// are parked in resid, and each row then adds its MA terms in order. A
+// row's MA terms reach at least one row back, to residuals that are
+// final by then. Each row still starts from w_t − c and applies its AR
+// and MA terms in lag order, so the blocking changes no bit.
 func innovations(w []float64, c float64, lags *lagLists, resid []float64, from int, css float64) float64 {
 	ar, ma := lags.ar, lags.ma
 	n := len(w)
@@ -462,6 +471,27 @@ func innovations(w []float64, c float64, lags *lagLists, resid []float64, from i
 		resid[t] = v
 		css += v * v
 	}
+	for ; t+rowBlock <= n; t += rowBlock {
+		x := w[t : t+rowBlock : t+rowBlock]
+		v0, v1, v2, v3 := x[0]-c, x[1]-c, x[2]-c, x[3]-c
+		for _, a := range ar {
+			x := w[t-a.lag : t-a.lag+rowBlock : t-a.lag+rowBlock]
+			v0 -= a.coef * x[0]
+			v1 -= a.coef * x[1]
+			v2 -= a.coef * x[2]
+			v3 -= a.coef * x[3]
+		}
+		r := resid[t : t+rowBlock : t+rowBlock]
+		r[0], r[1], r[2], r[3] = v0, v1, v2, v3
+		for j := t; j < t+rowBlock; j++ {
+			v := resid[j]
+			for _, m := range ma {
+				v += m.coef * resid[j-m.lag]
+			}
+			resid[j] = v
+			css += v * v
+		}
+	}
 	for ; t < n; t++ {
 		v := w[t] - c
 		for _, a := range ar {
@@ -475,6 +505,10 @@ func innovations(w []float64, c float64, lags *lagLists, resid []float64, from i
 	}
 	return css
 }
+
+// rowBlock is the number of rows innovations computes together; its
+// blocked loop is written out for this width.
+const rowBlock = 4
 
 // hannanRissanen produces initial φ, θ estimates: a long autoregression
 // estimates innovations, then w is regressed on its own lags and lagged

@@ -155,28 +155,24 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) Result {
 	iter := 0
 	converged := false
 	for ; iter < maxIter && !checkAbort(); iter++ {
-		// Convergence checks.
+		// Convergence checks. The O(n²) diameter test runs only once the
+		// cheap f-spread test has passed.
 		fSpread := math.Abs(simplex[n].f - simplex[0].f)
-		var xDiam float64
-		for i := 1; i <= n; i++ {
-			for j := 0; j < n; j++ {
-				d := math.Abs(simplex[i].x[j] - simplex[0].x[j])
-				if d > xDiam {
-					xDiam = d
-				}
-			}
-		}
-		if fSpread < tolF*(1+math.Abs(simplex[0].f)) && xDiam < tolX {
+		if fSpread < tolF*(1+math.Abs(simplex[0].f)) && diameterBelow(simplex, tolX) {
 			converged = true
 			break
 		}
 
-		// Centroid of all but the worst vertex.
-		for j := 0; j < n; j++ {
-			centroid[j] = 0
-			for i := 0; i < n; i++ {
-				centroid[j] += simplex[i].x[j]
+		// Centroid of all but the worst vertex, summed vertex by vertex so
+		// the inner loop runs along one vertex's coordinates. Each
+		// coordinate still adds vertices 0…n−1 in order.
+		clear(centroid)
+		for _, v := range simplex[:n] {
+			for j, x := range v.x {
+				centroid[j] += x
 			}
+		}
+		for j := range centroid {
 			centroid[j] /= float64(n)
 		}
 		worst := simplex[n]
@@ -230,6 +226,21 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) Result {
 		Iterations: iter, Converged: converged, Evals: evals,
 		Aborted: aborted,
 	}
+}
+
+// diameterBelow reports whether every coordinate of every vertex lies
+// within tol of the best vertex's. It stops at the first distance that
+// does not; a NaN distance never stops it.
+func diameterBelow(simplex []vertex, tol float64) bool {
+	best := simplex[0].x
+	for _, v := range simplex[1:] {
+		for j, x := range v.x {
+			if math.Abs(x-best[j]) >= tol {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // vertex is one point of the Nelder-Mead simplex with its objective value.
