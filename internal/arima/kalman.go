@@ -10,7 +10,7 @@ import (
 // as FitOptions.Method = MethodMLE; the default MethodCSS is the classic
 // Box-Jenkins conditional sum of squares, which is ~an order of magnitude
 // faster on seasonal models and selects the same champions (see the
-// BenchmarkAblationCSSvsMLE pair).
+// BenchmarkAblationCSSFit/BenchmarkAblationMLEFit pair).
 //
 // State space (Harvey representation), r = max(p, q+1):
 //
@@ -82,6 +82,8 @@ func applyTMT(ar []float64, m []float64, r int, tmp, out, col, res []float64) {
 // with doubling-free geometric convergence; the AR polynomial must be
 // stationary (Schur-Cohn checked by the caller). maxIter bounds work for
 // near-unit-root cases.
+//
+// capplan:keep test fixture: the Kalman tests state expected covariances through it.
 func stationaryCovariance(ar, rvec []float64, r int) []float64 {
 	p := make([]float64, r*r)
 	stationaryCovarianceIn(ar, rvec, r, p,

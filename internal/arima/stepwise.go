@@ -66,6 +66,8 @@ type StepwiseResult struct {
 // improves. It fits far fewer models than the §6.3 grids while usually
 // finding the same champion class — the alternative "tuning" the
 // engine's ablation benches compare against.
+//
+// capplan:keep ablation: BenchmarkAblationStepwiseSearch measures it against the §6.3 grid.
 func Stepwise(y []float64, exog [][]float64, opt StepwiseOptions) (*StepwiseResult, error) {
 	if opt.Seasonal && opt.S < 2 {
 		return nil, fmt.Errorf("arima: stepwise seasonal search needs S >= 2")

@@ -20,11 +20,6 @@ type Options struct {
 	YLabel string
 }
 
-// Line renders a single series.
-func Line(values []float64, opt Options) string {
-	return Forecast(values, nil, nil, nil, opt)
-}
-
 // Forecast renders history followed by a forecast with an optional
 // confidence band. history is drawn with '·', the forecast with '*', and
 // the band with '░'. Any slice may be nil; lower/upper must match

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLineBasic(t *testing.T) {
-	out := Line([]float64{1, 2, 3, 4, 5}, Options{Width: 20, Height: 5, Title: "t"})
+	out := Forecast([]float64{1, 2, 3, 4, 5}, nil, nil, nil, Options{Width: 20, Height: 5, Title: "t"})
 	if !strings.Contains(out, "t\n") {
 		t.Fatal("title missing")
 	}
@@ -45,22 +45,22 @@ func TestForecastBandMismatch(t *testing.T) {
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	if out := Line(nil, Options{}); !strings.Contains(out, "empty") {
+	if out := Forecast(nil, nil, nil, nil, Options{}); !strings.Contains(out, "empty") {
 		t.Fatalf("empty chart = %q", out)
 	}
 	nan := math.NaN()
-	if out := Line([]float64{nan, nan}, Options{}); !strings.Contains(out, "no finite data") {
+	if out := Forecast([]float64{nan, nan}, nil, nil, nil, Options{}); !strings.Contains(out, "no finite data") {
 		t.Fatalf("all-NaN chart = %q", out)
 	}
 	// Constant series must not divide by zero.
-	out := Line([]float64{5, 5, 5}, Options{Width: 10, Height: 4})
+	out := Forecast([]float64{5, 5, 5}, nil, nil, nil, Options{Width: 10, Height: 4})
 	if !strings.Contains(out, "·") {
 		t.Fatal("constant series not drawn")
 	}
 }
 
 func TestAxisLabels(t *testing.T) {
-	out := Line([]float64{0, 100}, Options{Width: 10, Height: 5})
+	out := Forecast([]float64{0, 100}, nil, nil, nil, Options{Width: 10, Height: 5})
 	if !strings.Contains(out, "100") || !strings.Contains(out, "0") {
 		t.Fatalf("axis labels missing:\n%s", out)
 	}

@@ -169,10 +169,6 @@ type Result struct {
 	// Forecast is the production forecast: the champion refitted on the
 	// full series and extended Horizon steps beyond its end.
 	Forecast *Prediction
-	// Diagnostics holds the champion's residual checks (Ljung-Box,
-	// Jarque-Bera) when the champion is an ARIMA-family model; nil for
-	// HES/TBATS champions.
-	Diagnostics *arima.Diagnostics
 	// Baselines scores the naive benchmark methods on the same hold-out
 	// window; a champion worth storing beats them.
 	Baselines map[string]metrics.Score
@@ -436,11 +432,6 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 	if err != nil {
 		return fail(sp, fmt.Errorf("forecast: champion production forecast: %w", err))
 	}
-	var diag *arima.Diagnostics
-	if live.arima != nil {
-		d := live.arima.Diagnose()
-		diag = &d
-	}
 	sp.End()
 
 	// Baseline scores on the same hold-out window.
@@ -480,7 +471,6 @@ func (e *Engine) Run(ctx context.Context, s *timeseries.Series) (*Result, error)
 		TestLen:         test.Len(),
 		Elapsed:         time.Since(began),
 		ModelsEvaluated: len(results),
-		Diagnostics:     diag,
 		Baselines:       baselines,
 		BeatsBaselines:  beats,
 		WarmStarted:     e.opt.Warm != nil,

@@ -254,3 +254,64 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallelism changed the score: %v vs %v", r1.TestScore.RMSE, r2.TestScore.RMSE)
 	}
 }
+
+func TestReportContents(t *testing.T) {
+	e, err := NewEngine(Options{Technique: TechniqueSARIMAX, MaxCandidates: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), seasonalTrending(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A SARIMAX champion carries residual diagnostics, computed when the
+	// report asks for them.
+	if res.Diagnose() == nil {
+		t.Fatal("SARIMAX champion has no diagnostics")
+	}
+	rep := res.Report()
+	for _, want := range []string{
+		"Capacity forecast", "champion", "accuracy", "RMSE",
+		"seasonality", "forecast", "984 train + 24 test", "diagnostics",
+	} {
+		if !strings.Contains(rep, want) {
+			t.Fatalf("report missing %q:\n%s", want, rep)
+		}
+	}
+	if !strings.Contains(res.String(), res.Champion.Label) {
+		t.Fatal("String() missing champion")
+	}
+}
+
+func TestEngineTBATSBranch(t *testing.T) {
+	// A shorter multi-seasonal series exercises the TBATS branch.
+	y := workload.Synthetic(workload.SyntheticOpts{
+		N: 504, Level: 100, Periods: []int{24}, Amps: []float64{12},
+		Noise: 1, Seed: 15,
+	})
+	s := timeseries.New("tbats-branch", t0, timeseries.Hourly, y)
+	e, err := NewEngine(Options{Technique: TechniqueTBATS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.Champion.Label, "TBATS") {
+		t.Fatalf("champion = %q, want a TBATS config", res.Champion.Label)
+	}
+	if len(res.Forecast.Mean) != 24 {
+		t.Fatalf("horizon = %d", len(res.Forecast.Mean))
+	}
+	// The forecast should track the seasonal truth reasonably.
+	if res.TestScore.MAPA < 80 {
+		t.Fatalf("TBATS MAPA = %v, want > 80", res.TestScore.MAPA)
+	}
+	if res.Diagnose() != nil {
+		t.Fatal("TBATS champion reported ARIMA diagnostics")
+	}
+	if core := TechniqueTBATS.String(); core != "TBATS" {
+		t.Fatalf("String = %q", core)
+	}
+}

@@ -114,7 +114,7 @@ func resultDigest(r *Result) string {
 	hashValue(h, reflect.ValueOf(r.Forecast.Mean))
 	hashValue(h, reflect.ValueOf(r.Forecast.Lower))
 	hashValue(h, reflect.ValueOf(r.Forecast.Upper))
-	hashValue(h, reflect.ValueOf(r.Diagnostics))
+	hashValue(h, reflect.ValueOf(r.Diagnose()))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -238,6 +238,23 @@ func (lm *LiveModel) Forecast(h int) (mean, se, lower, upper []float64, err erro
 	return nil, nil, nil, nil, fmt.Errorf("core: live model has no fitted family model")
 }
 
+// Diagnose runs the champion's residual checks (Ljung-Box, Jarque-Bera)
+// when it is an ARIMA-family model; nil for HES/TBATS champions and for a
+// result without a live model. The checks read the live model's
+// residuals, so after Advanced they also cover the folded-in points.
+func (r *Result) Diagnose() *arima.Diagnostics {
+	if r.Live == nil {
+		return nil
+	}
+	r.Live.mu.Lock()
+	defer r.Live.mu.Unlock()
+	if r.Live.arima == nil {
+		return nil
+	}
+	d := r.Live.arima.Diagnose()
+	return &d
+}
+
 // Advanced folds points into the live champion's state and regenerates the
 // production forecast from the new origin: the returned result is a
 // shallow copy of r whose Forecast starts len(points) steps later. The

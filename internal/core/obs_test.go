@@ -38,7 +38,9 @@ func TestEngineRunTraceAndMetrics(t *testing.T) {
 	}
 	for _, stage := range []string{"fetch", "interpolate", "split", "analyse", "build-candidates", "fit-score", "champion", "forecast"} {
 		if root.Find(stage) == nil {
-			t.Errorf("span tree missing Figure 4 stage %q:\n%s", stage, root.Tree())
+			var tree strings.Builder
+			root.WriteTree(&tree)
+			t.Errorf("span tree missing Figure 4 stage %q:\n%s", stage, tree.String())
 		}
 	}
 	fits := 0

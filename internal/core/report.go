@@ -70,13 +70,13 @@ func (r *Result) Report() string {
 		fmt.Fprintf(&sb, "runner-up      : %s (RMSE +%.1f%%)\n", runnerUp.Label, margin)
 	}
 
-	if r.Diagnostics != nil {
-		if r.Diagnostics.Clean {
+	if d := r.Diagnose(); d != nil {
+		if d.Clean {
 			fmt.Fprintf(&sb, "diagnostics    : clean (Ljung-Box p=%.3f, Jarque-Bera p=%.3f)\n",
-				r.Diagnostics.LjungBox.PValue, r.Diagnostics.JarqueBera.PValue)
+				d.LjungBox.PValue, d.JarqueBera.PValue)
 		} else {
 			fmt.Fprintf(&sb, "diagnostics    : residual structure remains (Ljung-Box p=%.3f, Jarque-Bera p=%.3f)\n",
-				r.Diagnostics.LjungBox.PValue, r.Diagnostics.JarqueBera.PValue)
+				d.LjungBox.PValue, d.JarqueBera.PValue)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -223,30 +222,6 @@ func (s *ModelStore) Invalidate(key, reason string) bool {
 	return true
 }
 
-// CheckInSeries is a convenience wrapper: it scores the stored champion's
-// production forecast against observed actuals and checks in the RMSE.
-func (s *ModelStore) CheckInSeries(key string, actual []float64) (usable bool, err error) {
-	s.mu.RLock()
-	sm, ok := s.models[key]
-	s.mu.RUnlock()
-	if !ok {
-		return false, fmt.Errorf("core: no stored model for %q", key)
-	}
-	fc := sm.Result.Forecast
-	if fc == nil || len(fc.Mean) == 0 {
-		return false, fmt.Errorf("core: stored model for %q has no forecast", key)
-	}
-	n := len(actual)
-	if n > len(fc.Mean) {
-		n = len(fc.Mean)
-	}
-	if n == 0 {
-		return false, fmt.Errorf("core: no actuals supplied for %q", key)
-	}
-	rmse := metrics.RMSE(actual[:n], fc.Mean[:n])
-	return s.CheckIn(key, rmse)
-}
-
 // Keys lists the stored model keys.
 func (s *ModelStore) Keys() []string {
 	s.mu.RLock()
@@ -256,15 +231,4 @@ func (s *ModelStore) Keys() []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// Delete removes a stored model, counting the eviction when the key was
-// actually held.
-func (s *ModelStore) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.models[key]; ok {
-		s.obs.Count("modelstore_evictions_total", 1, obs.L("reason", "deleted"))
-	}
-	delete(s.models, key)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -87,45 +88,22 @@ func TestStoreRMSEDegradation(t *testing.T) {
 	}
 }
 
-func TestStoreCheckInSeries(t *testing.T) {
-	s := NewModelStore(StalePolicy{})
-	s.Put("db/cpu", fakeResult(1.0))
-	// Actuals equal to the forecast: perfect, stays usable.
-	usable, err := s.CheckInSeries("db/cpu", []float64{10, 11, 12})
-	if err != nil || !usable {
-		t.Fatalf("usable=%v err=%v", usable, err)
-	}
-	// Wildly wrong actuals: degraded.
-	usable, err = s.CheckInSeries("db/cpu", []float64{100, 100, 100})
-	if err != nil || usable {
-		t.Fatal("bad actuals should invalidate")
-	}
-}
-
 func TestStoreCheckInErrors(t *testing.T) {
 	s := NewModelStore(StalePolicy{})
 	if _, err := s.CheckIn("nope", 1); err == nil {
 		t.Fatal("missing key should error")
 	}
-	if _, err := s.CheckInSeries("nope", []float64{1}); err == nil {
-		t.Fatal("missing key should error")
-	}
-	s.Put("k", fakeResult(1))
-	if _, err := s.CheckInSeries("k", nil); err == nil {
-		t.Fatal("empty actuals should error")
-	}
 }
 
-func TestStoreKeysAndDelete(t *testing.T) {
+func TestStoreKeys(t *testing.T) {
 	s := NewModelStore(StalePolicy{})
 	s.Put("a", fakeResult(1))
 	s.Put("b", fakeResult(2))
-	if len(s.Keys()) != 2 {
-		t.Fatal("keys wrong")
-	}
-	s.Delete("a")
-	if len(s.Keys()) != 1 {
-		t.Fatal("delete failed")
+	s.Put("a", fakeResult(3))
+	keys := s.Keys()
+	sort.Strings(keys)
+	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
+		t.Fatalf("Keys() = %v, want [a b]", keys)
 	}
 }
 

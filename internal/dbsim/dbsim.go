@@ -252,12 +252,6 @@ func (c *Cluster) surgeActive(s Surge, t time.Time) bool {
 	return !t.Before(begin) && t.Before(begin.Add(s.Duration))
 }
 
-// ActivityFactor returns the intraday/weekly activity multiplier in
-// (0, 1] — how busy the average connected session is at t. Exported for
-// the application tier, whose request arrival rate follows the same
-// cycle.
-func (c *Cluster) ActivityFactor(t time.Time) float64 { return c.activity(t) }
-
 // activity returns the intraday/weekly activity multiplier in (0, 1]:
 // how busy the average connected session is at t.
 func (c *Cluster) activity(t time.Time) float64 {
@@ -310,6 +304,8 @@ func (c *Cluster) BackupLoad(node int, t time.Time) (cpu, iops, mem float64) {
 // BackupActiveAt reports whether any backup runs on node at t — exposed
 // so the engine can build exogenous regressors from the schedule it
 // "knows about" (the paper's understood shocks).
+//
+// capplan:keep test fixture: the simulator's backup tests assert through it.
 func (c *Cluster) BackupActiveAt(node int, t time.Time) bool {
 	cpu, iops, mem := c.BackupLoad(node, t)
 	return cpu > 0 || iops > 0 || mem > 0

@@ -95,6 +95,8 @@ func (c *Cluster) stormLoad(node int, t time.Time) (cpu, iops float64) {
 }
 
 // FailoverActiveAt reports whether node is failed over (down) at t.
+//
+// capplan:keep test fixture: the simulator's failover tests assert through it.
 func (c *Cluster) FailoverActiveAt(node int, t time.Time) bool {
 	f, active := c.failoverActive(t)
 	return active && f.From == node

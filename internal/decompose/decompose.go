@@ -175,28 +175,6 @@ func (r *Result) SeasonalStrength() float64 {
 	return f
 }
 
-// TrendStrength returns F_t = max(0, 1 − Var(residual)/Var(trend+residual)).
-func (r *Result) TrendStrength() float64 {
-	var tr, rr []float64
-	for i := range r.Residual {
-		if math.IsNaN(r.Residual[i]) || math.IsNaN(r.Trend[i]) {
-			continue
-		}
-		rr = append(rr, r.Residual[i])
-		tr = append(tr, r.Trend[i]+r.Residual[i])
-	}
-	vr := variance(rr)
-	vtr := variance(tr)
-	if vtr == 0 {
-		return 0
-	}
-	f := 1 - vr/vtr
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
 func variance(x []float64) float64 {
 	if len(x) < 2 {
 		return 0

@@ -140,25 +140,6 @@ func TestSeasonalStrength(t *testing.T) {
 	}
 }
 
-func TestTrendStrength(t *testing.T) {
-	trending := synth(480, 24, 0.5, 1, 0.5, 7)
-	res, err := Classical(trending, 24, Additive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.TrendStrength(); s < 0.9 {
-		t.Fatalf("trend strength = %v, want > 0.9", s)
-	}
-	flat := synth(480, 24, 0, 1, 5, 8)
-	res, err = Classical(flat, 24, Additive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.TrendStrength(); s > 0.5 {
-		t.Fatalf("flat trend strength = %v, want < 0.5", s)
-	}
-}
-
 func TestReconstructionIdentity(t *testing.T) {
 	// trend + seasonal + residual must reproduce x where defined.
 	x := synth(200, 12, 0.2, 4, 1, 9)

@@ -391,31 +391,3 @@ func (m *Model) Forecast(h int, level float64) (*Forecast, error) {
 	}
 	return &Forecast{Mean: mean, Lower: lower, Upper: upper, SE: se, Level: level}, nil
 }
-
-// AutoFit fits the methods compatible with the data (seasonal methods
-// only when period >= 2 and enough data) and returns the one with the
-// lowest AIC.
-func AutoFit(y []float64, period int) (*Model, error) {
-	methods := []Method{Simple, Holt, DampedTrend}
-	if period >= 2 && len(y) >= 2*period+3 {
-		methods = append(methods, HoltWinters, HoltWintersDamped)
-	}
-	var best *Model
-	var firstErr error
-	for _, meth := range methods {
-		m, err := Fit(meth, y, FitOptions{Period: period})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if best == nil || m.AIC < best.AIC {
-			best = m
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("ets: no method could be fitted: %w", firstErr)
-	}
-	return best, nil
-}

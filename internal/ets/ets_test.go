@@ -210,36 +210,6 @@ func TestResidualsAndFittedAligned(t *testing.T) {
 	}
 }
 
-func TestAutoFitPicksSeasonalForSeasonalData(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	y := make([]float64, 480)
-	for i := range y {
-		y[i] = 30 + 10*math.Sin(2*math.Pi*float64(i)/24) + 0.5*rng.NormFloat64()
-	}
-	m, err := AutoFit(y, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Method.hasSeason() {
-		t.Fatalf("AutoFit chose %v for clearly seasonal data", m.Method)
-	}
-}
-
-func TestAutoFitNonSeasonalData(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	y := make([]float64, 200)
-	for i := range y {
-		y[i] = 10 + 0.2*float64(i) + 0.5*rng.NormFloat64()
-	}
-	m, err := AutoFit(y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Method.hasSeason() {
-		t.Fatalf("seasonal method chosen with period 0: %v", m.Method)
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	if Simple.String() != "SES" || HoltWinters.String() != "Holt-Winters" {
 		t.Fatal("method names wrong")

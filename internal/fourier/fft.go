@@ -27,25 +27,6 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(x)
 }
 
-// IFFT returns the inverse discrete Fourier transform of x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	// Conjugate trick: IFFT(x) = conj(FFT(conj(x)))/n.
-	work := make([]complex128, n)
-	for i, v := range x {
-		work[i] = cmplx.Conj(v)
-	}
-	out := FFT(work)
-	scale := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] = cmplx.Conj(out[i]) * scale
-	}
-	return out
-}
-
 // FFTReal transforms a real-valued series.
 func FFTReal(x []float64) []complex128 {
 	c := make([]complex128, len(x))

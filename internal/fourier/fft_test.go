@@ -62,16 +62,6 @@ func TestFFTMatchesNaiveArbitraryLength(t *testing.T) {
 	}
 }
 
-func TestIFFTInvertsFFT(t *testing.T) {
-	for _, n := range []int{8, 13, 100, 1008} {
-		x := randComplex(n, int64(n)*13)
-		back := IFFT(FFT(x))
-		if !complexClose(back, x, 1e-9*float64(n)) {
-			t.Fatalf("IFFT∘FFT != id at n=%d", n)
-		}
-	}
-}
-
 func TestFFTEmptyAndSingle(t *testing.T) {
 	if FFT(nil) != nil {
 		t.Fatal("FFT(nil) should be nil")

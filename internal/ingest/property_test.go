@@ -45,7 +45,7 @@ func TestWireRedeliveryIdempotentProperty(t *testing.T) {
 				if err := EncodeBatch(&buf, shuffled[off:off+sz]); err != nil {
 					return false
 				}
-				decoded, err := DecodeBatch(&buf, 0)
+				decoded, _, err := DecodeBatchMeta(&buf, 0)
 				if err != nil {
 					return false
 				}

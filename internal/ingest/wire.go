@@ -121,16 +121,10 @@ func EncodeBatchTraced(w io.Writer, samples []metricstore.Sample, traceparent st
 	return zw.Close()
 }
 
-// DecodeBatch reads one gzip-compressed envelope from r, checks the
+// DecodeBatchMeta reads one gzip-compressed envelope from r, checks the
 // version, enforces maxSamples (0 = unlimited) and validates every
-// sample. Decoded timestamps are UTC.
-func DecodeBatch(r io.Reader, maxSamples int) ([]metricstore.Sample, error) {
-	samples, _, err := DecodeBatchMeta(r, maxSamples)
-	return samples, err
-}
-
-// DecodeBatchMeta is DecodeBatch plus the envelope metadata (wire
-// version and the sender's traceparent, when present).
+// sample; decoded timestamps are UTC. It also returns the envelope
+// metadata (wire version and the sender's traceparent, when present).
 func DecodeBatchMeta(r io.Reader, maxSamples int) ([]metricstore.Sample, BatchMeta, error) {
 	var meta BatchMeta
 	zr, err := gzip.NewReader(r)

@@ -33,7 +33,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := EncodeBatch(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeBatch(&buf, 0)
+	out, _, err := DecodeBatchMeta(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestWireRoundTripEmptyBatch(t *testing.T) {
 	if err := EncodeBatch(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeBatch(&buf, 10)
+	out, _, err := DecodeBatchMeta(&buf, 10)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out = %v, err = %v", out, err)
 	}
@@ -78,7 +78,7 @@ func TestEncodeRejectsInvalidSamples(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBatch(strings.NewReader("not gzip"), 0); err == nil {
+	if _, _, err := DecodeBatchMeta(strings.NewReader("not gzip"), 0); err == nil {
 		t.Fatal("plain text accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	if !bytes.Contains(payload, []byte(`"version":99`)) {
 		t.Fatal("version rewrite missed — envelope layout changed?")
 	}
-	if _, err := DecodeBatch(regzip(t, payload), 0); err == nil ||
+	if _, _, err := DecodeBatchMeta(regzip(t, payload), 0); err == nil ||
 		!strings.Contains(err.Error(), "unsupported wire version") {
 		t.Fatalf("err = %v", err)
 	}
@@ -150,17 +150,17 @@ func TestDecodeEnforcesBatchLimit(t *testing.T) {
 	if err := EncodeBatch(&buf, wireSamples(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBatch(bytes.NewReader(buf.Bytes()), 4); err == nil {
+	if _, _, err := DecodeBatchMeta(bytes.NewReader(buf.Bytes()), 4); err == nil {
 		t.Fatal("over-limit batch accepted")
 	}
-	if _, err := DecodeBatch(bytes.NewReader(buf.Bytes()), 5); err != nil {
+	if _, _, err := DecodeBatchMeta(bytes.NewReader(buf.Bytes()), 5); err != nil {
 		t.Fatalf("at-limit batch rejected: %v", err)
 	}
 }
 
 func TestDecodeValidatesSamples(t *testing.T) {
 	payload := []byte(`{"version":1,"samples":[{"target":"","metric":"cpu","at_ms":1,"value":2}]}`)
-	if _, err := DecodeBatch(regzip(t, payload), 0); err == nil {
+	if _, _, err := DecodeBatchMeta(regzip(t, payload), 0); err == nil {
 		t.Fatal("empty target accepted")
 	}
 }

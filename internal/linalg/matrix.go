@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
-// forecasting models: a row-major dense matrix, Householder QR, Cholesky,
-// triangular solves and an ordinary-least-squares driver.
+// forecasting models: a row-major dense matrix, Householder QR with its
+// triangular solves, and a least-squares driver.
 //
 // The package is deliberately minimal — it implements exactly what the
 // ARIMA/ETS/TBATS estimators and the regression-based statistical tests
@@ -10,8 +10,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -31,6 +29,8 @@ func NewMatrix(rows, cols int) *Matrix {
 
 // NewMatrixFrom builds a rows×cols matrix from data in row-major order.
 // The slice is copied. It panics if len(data) != rows*cols.
+//
+// capplan:keep test fixture: the QR tests write their fixed systems in it.
 func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("linalg: data length %d does not match %dx%d", len(data), rows, cols))
@@ -54,15 +54,6 @@ func (m *Matrix) Reset(rows, cols int) {
 		clear(m.data)
 	}
 	m.rows, m.cols = rows, cols
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -102,72 +93,10 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of bounds", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: column %d out of bounds", j))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies v into row i. It panics if len(v) != Cols().
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic("linalg: SetRow length mismatch")
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
-// Transpose returns the transpose as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m×b.
-// It panics if the inner dimensions disagree.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j := range brow {
-				orow[j] += a * brow[j]
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product m×v.
 // It panics if len(v) != Cols().
+//
+// capplan:keep test fixture: the QR tests form right-hand sides with it.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	out := make([]float64, m.rows)
 	m.MulVecInto(out, v)
@@ -190,76 +119,6 @@ func (m *Matrix) MulVecInto(dst, v []float64) {
 	}
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + b as a new matrix.
-// It panics if the dimensions disagree.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("linalg: AddMatrix dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		sb.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%.6g", m.At(i, j))
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
-}
-
 // ErrSingular is returned when a solve encounters a (numerically) singular
 // system.
 var ErrSingular = errors.New("linalg: singular matrix")
-
-// Dot returns the inner product of a and b.
-// It panics if the lengths disagree.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow.
-func Norm2(v []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}

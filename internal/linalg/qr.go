@@ -139,27 +139,9 @@ func (f *QR) SolveInto(x, work, b []float64) error {
 	return nil
 }
 
-// RDiag returns the diagonal of R, useful for rank/conditioning checks.
-func (f *QR) RDiag() []float64 {
-	d := make([]float64, f.cols)
-	for k := 0; k < f.cols; k++ {
-		d[k] = f.qr.At(k, k)
-	}
-	return d
-}
-
-// RInverse returns R⁻¹ for the n×n upper-triangular factor, which is needed
-// to form (XᵀX)⁻¹ = R⁻¹R⁻ᵀ for regression standard errors.
-// It returns ErrSingular if R is singular.
-func (f *QR) RInverse() (*Matrix, error) {
-	inv := new(Matrix)
-	if err := f.RInverseInto(inv); err != nil {
-		return nil, err
-	}
-	return inv, nil
-}
-
-// RInverseInto is RInverse writing R⁻¹ into inv, which it resets to n×n.
+// RInverseInto writes R⁻¹ for the n×n upper-triangular factor into inv,
+// which it resets to n×n; (XᵀX)⁻¹ = R⁻¹R⁻ᵀ gives regression standard
+// errors. It returns ErrSingular if R is singular.
 func (f *QR) RInverseInto(inv *Matrix) error {
 	n := f.cols
 	inv.Reset(n, n)

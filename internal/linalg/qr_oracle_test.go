@@ -8,7 +8,7 @@ import (
 
 // atQR is the reference Householder QR written through the bounds-checked
 // At/Set/Add accessors. The raw-slice factorisation must match it bit for
-// bit, and so must Solve and RInverse built on top of it.
+// bit, and so must Solve and RInverseInto built on top of it.
 type atQR struct {
 	qr   *Matrix
 	tau  []float64
@@ -156,7 +156,7 @@ func oracleMatrix(rng *rand.Rand, rows, cols, shape int) *Matrix {
 }
 
 // TestQRMatchesAtOracle requires NewQR, Factorize on a reused QR, Solve
-// and RInverse to reproduce the At-based reference exactly, over random
+// and RInverseInto to reproduce the At-based reference exactly, over random
 // tall matrices, zero columns and rank-deficient designs.
 func TestQRMatchesAtOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -187,12 +187,13 @@ func TestQRMatchesAtOracle(t *testing.T) {
 			if err != wantErr || !sameBitsSlice(x, wantX) {
 				t.Fatalf("trial %d (%s): Solve = %v, %v; reference %v, %v", trial, name, x, err, wantX, wantErr)
 			}
-			inv, err := got.RInverse()
+			var inv Matrix
+			err = got.RInverseInto(&inv)
 			if err != wantInvErr {
-				t.Fatalf("trial %d (%s): RInverse error %v, reference %v", trial, name, err, wantInvErr)
+				t.Fatalf("trial %d (%s): RInverseInto error %v, reference %v", trial, name, err, wantInvErr)
 			}
 			if err == nil && !sameBitsSlice(inv.data, wantInv.data) {
-				t.Fatalf("trial %d (%s): RInverse differs from the reference", trial, name)
+				t.Fatalf("trial %d (%s): RInverseInto differs from the reference", trial, name)
 			}
 		}
 	}

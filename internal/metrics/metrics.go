@@ -2,7 +2,7 @@
 // scores models with (§7: "We tested the accuracy using three methods,
 // which are Root Means Squared Error (RMSE), Mean Absolute Percentage
 // Error (MAPE) and Mean Absolute Percentage Accuracy (MAPA)") plus the
-// standard companions (MAE, ME, sMAPE, MASE).
+// standard companions (MAE, ME, sMAPE).
 package metrics
 
 import (
@@ -104,29 +104,6 @@ func SMAPE(actual, forecast []float64) float64 {
 		return math.NaN()
 	}
 	return 100 * s / float64(n)
-}
-
-// MASE returns the mean absolute scaled error: MAE of the forecast divided
-// by the in-sample MAE of the seasonal naive method with the given period.
-// Values below 1 beat the naive benchmark. train is the training series
-// the model was fitted on.
-func MASE(actual, forecast, train []float64, period int) float64 {
-	check(actual, forecast)
-	if period < 1 {
-		period = 1
-	}
-	if len(train) <= period {
-		return math.NaN()
-	}
-	var naive float64
-	for t := period; t < len(train); t++ {
-		naive += math.Abs(train[t] - train[t-period])
-	}
-	naive /= float64(len(train) - period)
-	if naive == 0 {
-		return math.NaN()
-	}
-	return MAE(actual, forecast) / naive
 }
 
 // Score bundles the accuracy measures reported for one fitted model, as a

@@ -78,23 +78,6 @@ func TestSMAPEBounds(t *testing.T) {
 	}
 }
 
-func TestMASE(t *testing.T) {
-	// Train where the naive period-1 error is exactly 1 on average.
-	train := []float64{0, 1, 2, 3, 4, 5}
-	actual := []float64{6, 7}
-	forecast := []float64{6.5, 7.5}
-	got := MASE(actual, forecast, train, 1)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("MASE = %v, want 0.5", got)
-	}
-	if !math.IsNaN(MASE(actual, forecast, []float64{1}, 5)) {
-		t.Fatal("short train should give NaN")
-	}
-	if !math.IsNaN(MASE(actual, forecast, []float64{2, 2, 2}, 1)) {
-		t.Fatal("constant train (zero naive error) should give NaN")
-	}
-}
-
 func TestEvaluateAndBetter(t *testing.T) {
 	a := []float64{10, 20, 30}
 	good := Evaluate(a, []float64{11, 19, 30})

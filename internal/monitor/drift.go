@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -222,21 +221,6 @@ func (d *DriftDetector) Status(key string) (DriftStatus, bool) {
 		return DriftStatus{}, false
 	}
 	return d.statusLocked(key, s), true
-}
-
-// All returns every key's drift snapshot, sorted by key.
-func (d *DriftDetector) All() []DriftStatus {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]DriftStatus, 0, len(d.states))
-	for k, s := range d.states {
-		out = append(out, d.statusLocked(k, s))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 func (d *DriftDetector) statusLocked(key string, s *phState) DriftStatus {

@@ -56,9 +56,6 @@ type TargetStatus struct {
 	LastRefit         *RefitRecord `json:"last_refit,omitempty"`
 }
 
-// Targets assembles the status of every known target — see TargetsFor.
-func (m *Monitor) Targets() []TargetStatus { return m.TargetsFor("") }
-
 // TargetsFor assembles the status of the known targets: the union of
 // stored champions and the configured inventory (so warming targets —
 // inventoried but not yet trained — are visible too), each joined with

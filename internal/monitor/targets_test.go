@@ -24,7 +24,7 @@ func TestTargetsEndpoint(t *testing.T) {
 		Store: store,
 		Refit: func(ctx context.Context, key string, warm bool) (*core.Result, error) {
 			refitted++
-			if obs.TraceIDFromContext(ctx) == "" {
+			if obs.SpanFromContext(ctx).Context().IsZero() {
 				t.Error("refit ctx carries no trace")
 			}
 			return storedResult(now, 50, 2), nil
@@ -38,7 +38,7 @@ func TestTargetsEndpoint(t *testing.T) {
 
 	byKey := func() map[string]TargetStatus {
 		out := make(map[string]TargetStatus)
-		for _, ts := range m.Targets() {
+		for _, ts := range m.TargetsFor("") {
 			out[ts.Key] = ts
 		}
 		return out

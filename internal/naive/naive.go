@@ -1,7 +1,7 @@
 // Package naive implements the benchmark forecasters every model in the
 // system must beat to be worth storing: the naive (last value), drift,
-// mean, and seasonal-naive methods. They anchor the MASE metric and give
-// the engine's champions an interpretable floor — a SARIMAX model whose
+// mean, and seasonal-naive methods. They give the engine's champions an
+// interpretable floor — a SARIMAX model whose
 // hold-out RMSE loses to seasonal-naive has learned nothing beyond the
 // seasonal pattern itself.
 package naive

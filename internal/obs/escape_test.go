@@ -65,7 +65,7 @@ func TestPromEscapeLabelRoundTrip(t *testing.T) {
 func TestWritePrometheusEscapedExposition(t *testing.T) {
 	for _, v := range trickyLabelValues {
 		r := NewRegistry()
-		r.Counter("scrapes_total", L("target", v)).Inc()
+		r.Counter("scrapes_total", L("target", v)).Add(1)
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)

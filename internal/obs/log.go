@@ -38,22 +38,6 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel maps a flag value to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "", "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	default:
-		return 0, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
-	}
-}
-
 // Logger writes leveled key=value lines to a single io.Writer. It is
 // safe for concurrent use; a nil *Logger discards everything.
 type Logger struct {
@@ -103,15 +87,3 @@ func (l *Logger) Log(level Level, msg string, keyvals ...any) {
 	defer l.mu.Unlock()
 	io.WriteString(l.w, b.String())
 }
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, keyvals ...any) { l.Log(LevelDebug, msg, keyvals...) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, keyvals ...any) { l.Log(LevelInfo, msg, keyvals...) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, keyvals ...any) { l.Log(LevelWarn, msg, keyvals...) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, keyvals ...any) { l.Log(LevelError, msg, keyvals...) }

@@ -10,7 +10,7 @@ func TestLoggerFormat(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelDebug)
 	l.clock = func() time.Time { return time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC) }
-	l.Info("champion selected", "series", "cdbm011/cpu", "label", "SARIMAX (1,1,1)(1,1,1,24)", "rmse", 3.25)
+	l.Log(LevelInfo, "champion selected", "series", "cdbm011/cpu", "label", "SARIMAX (1,1,1)(1,1,1,24)", "rmse", 3.25)
 	got := b.String()
 	want := `2020-06-01T12:00:00.000Z INFO champion selected series=cdbm011/cpu label="SARIMAX (1,1,1)(1,1,1,24)" rmse=3.25` + "\n"
 	if got != want {
@@ -21,10 +21,10 @@ func TestLoggerFormat(t *testing.T) {
 func TestLoggerLevels(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelWarn)
-	l.Debug("d")
-	l.Info("i")
-	l.Warn("w")
-	l.Error("e")
+	l.Log(LevelDebug, "d")
+	l.Log(LevelInfo, "i")
+	l.Log(LevelWarn, "w")
+	l.Log(LevelError, "e")
 	out := b.String()
 	if strings.Contains(out, "DEBUG") || strings.Contains(out, "INFO") {
 		t.Errorf("below-threshold records emitted:\n%s", out)
@@ -37,22 +37,9 @@ func TestLoggerLevels(t *testing.T) {
 func TestLoggerOddKeyvals(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, LevelInfo)
-	l.Info("msg", "orphan")
+	l.Log(LevelInfo, "msg", "orphan")
 	if !strings.Contains(b.String(), "orphan=(MISSING)") {
 		t.Errorf("odd keyval not flagged: %q", b.String())
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{"debug": LevelDebug, "info": LevelInfo, "": LevelInfo, "warn": LevelWarn, "error": LevelError}
-	for in, want := range cases {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted junk")
 	}
 }
 

@@ -88,9 +88,6 @@ func (c *Counter) Add(delta int64) {
 	c.v.Add(delta)
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -18,7 +18,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r.Counter("hits_total").Inc()
+				r.Counter("hits_total").Add(1)
 				r.Counter("hits_total", L("kind", "a")).Add(2)
 			}
 		}()
@@ -153,7 +153,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total").Inc()
+	r.Counter("a_total").Add(1)
 	r.Gauge("g").Set(-1)
 	r.Histogram("h").Observe(4)
 	var b strings.Builder
@@ -172,8 +172,8 @@ func TestJSONSnapshot(t *testing.T) {
 // distinct series.
 func TestLabelOrderCanonical(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", L("a", "1"), L("b", "2")).Inc()
-	r.Counter("x", L("b", "2"), L("a", "1")).Inc()
+	r.Counter("x", L("a", "1"), L("b", "2")).Add(1)
+	r.Counter("x", L("b", "2"), L("a", "1")).Add(1)
 	if got := r.Counter("x", L("a", "1"), L("b", "2")).Value(); got != 2 {
 		t.Errorf("value = %d, want 2 (label order must not split series)", got)
 	}
@@ -182,7 +182,7 @@ func TestLabelOrderCanonical(t *testing.T) {
 // TestNilRegistry checks the disabled-metrics path is inert.
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	r.Counter("c").Inc()
+	r.Counter("c").Add(1)
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(1)
 	if got := r.CounterValue("c"); got != 0 {

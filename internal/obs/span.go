@@ -236,13 +236,6 @@ func (s *Span) writeTree(w io.Writer, prefix, childPrefix string) error {
 	return nil
 }
 
-// Tree renders WriteTree to a string.
-func (s *Span) Tree() string {
-	var b strings.Builder
-	s.WriteTree(&b)
-	return b.String()
-}
-
 // fmtDuration rounds a duration to a readable precision.
 func fmtDuration(d time.Duration) string {
 	switch {

@@ -157,20 +157,3 @@ func RemoteFromContext(ctx context.Context) (SpanContext, bool) {
 	sc, ok := ctx.Value(remoteCtxKey{}).(SpanContext)
 	return sc, ok
 }
-
-// TraceIDFromContext extracts the trace ID from whatever trace evidence
-// ctx carries — an in-process span first, then a remote context. It
-// returns "" when ctx carries neither, so callers can stamp exemplars
-// and introspection records without caring which kind of parent they
-// inherited.
-func TraceIDFromContext(ctx context.Context) string {
-	if sp := SpanFromContext(ctx); sp != nil {
-		if sc := sp.Context(); !sc.IsZero() {
-			return sc.Trace.String()
-		}
-	}
-	if sc, ok := RemoteFromContext(ctx); ok {
-		return sc.Trace.String()
-	}
-	return ""
-}

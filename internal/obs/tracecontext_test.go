@@ -117,11 +117,11 @@ func TestStartSpanFromContext(t *testing.T) {
 		t.Fatal("bare ctx should yield a fresh root")
 	}
 
-	if got := TraceIDFromContext(ctx); got != parent.Context().Trace.String() {
-		t.Fatalf("TraceIDFromContext = %q, want parent trace", got)
+	if got := SpanFromContext(ctx); got != parent {
+		t.Fatal("SpanFromContext did not return the carried span")
 	}
-	if got := TraceIDFromContext(context.Background()); got != "" {
-		t.Fatalf("TraceIDFromContext on bare ctx = %q, want empty", got)
+	if got := SpanFromContext(context.Background()); got != nil {
+		t.Fatalf("SpanFromContext on bare ctx = %v, want nil", got)
 	}
 }
 

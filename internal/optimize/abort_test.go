@@ -3,7 +3,6 @@ package optimize
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -56,24 +55,6 @@ func TestNelderMeadNilAbortConverges(t *testing.T) {
 	}
 }
 
-func TestGoldenSectionAbort(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1) * (x - 1) }
-	x, aborted := GoldenSectionAbort(f, -100, 100, 1e-12, func() bool { return true })
-	if !aborted {
-		t.Fatal("abort hook tripped but aborted is false")
-	}
-	if x < -100 || x > 100 {
-		t.Fatalf("aborted midpoint %v outside the bracket", x)
-	}
-	x, aborted = GoldenSectionAbort(f, -100, 100, 1e-9, nil)
-	if aborted {
-		t.Fatal("nil hook reported aborted")
-	}
-	if math.Abs(x-1) > 1e-6 {
-		t.Fatalf("minimum at %v, want 1", x)
-	}
-}
-
 func TestContextAbort(t *testing.T) {
 	if ContextAbort(nil) != nil {
 		t.Fatal("nil ctx should yield a nil hook")
@@ -98,20 +79,5 @@ func TestAbortCause(t *testing.T) {
 	<-ctx.Done()
 	if err := AbortCause(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline ctx cause = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-func TestMultiStartAbortShortCircuits(t *testing.T) {
-	n := 0
-	starts := [][]float64{{0}, {10}, {20}}
-	r := MultiStart(func(x []float64) float64 {
-		n++
-		return x[0] * x[0]
-	}, starts, NelderMeadOptions{Abort: func() bool { return true }})
-	if !r.Aborted {
-		t.Fatal("MultiStart lost the Aborted flag")
-	}
-	if n > 3*abortCheckEvery {
-		t.Fatalf("MultiStart kept restarting after abort (%d evals)", n)
 	}
 }

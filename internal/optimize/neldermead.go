@@ -1,7 +1,7 @@
 // Package optimize provides the derivative-free optimisers used to fit the
 // forecasting models: Nelder-Mead simplex for the multi-parameter CSS/SSE
-// objectives of ARIMA, exponential smoothing and TBATS, and golden-section
-// search for one-dimensional problems.
+// objectives of ARIMA, exponential smoothing and TBATS, with a warm-started
+// variant for refits.
 package optimize
 
 import (
@@ -257,89 +257,6 @@ func shrink(simplex []vertex, eval func([]float64) float64) {
 		}
 		simplex[i].f = eval(simplex[i].x)
 	}
-}
-
-// GoldenSection minimises a unimodal one-dimensional function on [a, b] to
-// the given absolute tolerance and returns the minimiser.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	x, _ := GoldenSectionAbort(f, a, b, tol, nil)
-	return x
-}
-
-// GoldenSectionAbort is GoldenSection with the cooperative-cancellation
-// hook: abort (nil = never) is polled every abortCheckEvery evaluations,
-// and a trip stops the search at the current bracket midpoint, reported
-// through the aborted return.
-func GoldenSectionAbort(f func(float64) float64, a, b, tol float64, abort func() bool) (x float64, aborted bool) {
-	if a > b {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	const invPhi = 0.6180339887498949
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	evals := 2
-	for b-a > tol {
-		evals++
-		if abort != nil && evals%abortCheckEvery == 0 && abort() {
-			return (a + b) / 2, true
-		}
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2, false
-}
-
-// Gradient estimates ∇f at x by central differences with step h
-// (h <= 0 selects a scale-aware default).
-func Gradient(f Objective, x []float64, h float64) []float64 {
-	g := make([]float64, len(x))
-	work := append([]float64(nil), x...)
-	for i := range x {
-		hi := h
-		if hi <= 0 {
-			hi = 1e-6 * math.Max(1, math.Abs(x[i]))
-		}
-		orig := work[i]
-		work[i] = orig + hi
-		fp := f(work)
-		work[i] = orig - hi
-		fm := f(work)
-		work[i] = orig
-		g[i] = (fp - fm) / (2 * hi)
-	}
-	return g
-}
-
-// MultiStart runs NelderMead from each start point and returns the best
-// result. It panics if no start points are given.
-func MultiStart(f Objective, starts [][]float64, opt NelderMeadOptions) Result {
-	if len(starts) == 0 {
-		panic("optimize: MultiStart needs at least one start point")
-	}
-	best := Result{F: math.Inf(1)}
-	for i, s := range starts {
-		r := NelderMead(f, s, opt)
-		if i == 0 || r.F < best.F {
-			best = r
-		}
-		if r.Aborted {
-			// Cancellation outranks restarts: report the best so far.
-			best.Aborted = true
-			break
-		}
-	}
-	return best
 }
 
 // String implements fmt.Stringer for diagnostics.

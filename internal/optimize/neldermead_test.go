@@ -88,51 +88,6 @@ func TestNelderMeadEmptyStartPanics(t *testing.T) {
 	NelderMead(func(x []float64) float64 { return 0 }, nil, NelderMeadOptions{})
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	got := GoldenSection(f, 0, 10, 1e-9)
-	if math.Abs(got-1.5) > 1e-7 {
-		t.Fatalf("minimum at %v, want 1.5", got)
-	}
-	// Reversed bounds are accepted.
-	got = GoldenSection(f, 10, 0, 1e-9)
-	if math.Abs(got-1.5) > 1e-7 {
-		t.Fatalf("minimum at %v with reversed bounds", got)
-	}
-}
-
-func TestGradient(t *testing.T) {
-	f := func(x []float64) float64 { return x[0]*x[0] + 3*x[1] }
-	g := Gradient(f, []float64{2, 5}, 0)
-	if math.Abs(g[0]-4) > 1e-5 || math.Abs(g[1]-3) > 1e-5 {
-		t.Fatalf("gradient = %v, want [4 3]", g)
-	}
-}
-
-func TestMultiStart(t *testing.T) {
-	// Double-well with the well at −2 strictly deeper: multistart from both
-	// sides must land in the deep well even though a single start from +3
-	// would be trapped at +2.
-	f := func(x []float64) float64 {
-		a := x[0]
-		return (a*a-4)*(a*a-4) + 0.5*(a-2)*(a-2)
-	}
-	r := MultiStart(f, [][]float64{{-3}, {3}}, NelderMeadOptions{})
-	if math.Abs(r.X[0]-2) > 1e-2 {
-		t.Fatalf("global minimum at %v, want ~2", r.X[0])
-	}
-	single := NelderMead(f, []float64{-3}, NelderMeadOptions{})
-	if r.F > single.F+1e-12 {
-		t.Fatal("MultiStart returned a worse value than one of its starts")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for no starts")
-		}
-	}()
-	MultiStart(f, nil, NelderMeadOptions{})
-}
-
 func BenchmarkNelderMeadRosenbrock(b *testing.B) {
 	f := func(x []float64) float64 {
 		a := 1 - x[0]

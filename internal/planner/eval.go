@@ -67,6 +67,8 @@ type ForecastFunc func(now time.Time, horizon int) Demand
 // uses the larger as the band, adds the day-over-day trend (so drifting
 // workloads are extrapolated, not chased), and inflates by margin as
 // the interval width. For horizons up to 24 h it never reads past now.
+//
+// capplan:keep planner eval harness: the closed-loop tests in eval_test.go.
 func SeasonalNaiveForecast(c *dbsim.Cluster, metric dbsim.Metric, margin float64) ForecastFunc {
 	demand := func(t time.Time) float64 {
 		v, err := c.Demand(metric, t)
@@ -205,6 +207,8 @@ func scoreHour(out *Outcome, c *dbsim.Cluster, metric dbsim.Metric, t time.Time,
 // scenario: each hour is scored on the current topology, then the
 // planner plans from the forecast and the actuator applies its actions
 // when their lead time expires.
+//
+// capplan:keep planner eval harness: the closed-loop tests in eval_test.go.
 func RunPlannerLoop(sc Scenario, pol Policy, fc ForecastFunc) (Outcome, error) {
 	pl, err := New(pol, nil)
 	if err != nil {
@@ -250,6 +254,8 @@ func RunPlannerLoop(sc Scenario, pol Policy, fc ForecastFunc) (Outcome, error) {
 // each hour is scored, then the controller sizes the fleet from what it
 // just observed and the change lands after the same actuation lead the
 // planner pays.
+//
+// capplan:keep planner eval harness: the closed-loop tests in eval_test.go.
 func RunReactiveLoop(sc Scenario, cfg ReactiveConfig, leadHours int) (Outcome, error) {
 	if leadHours <= 0 {
 		leadHours = 1

@@ -94,21 +94,6 @@ func ConfidenceBand(n int, level float64) float64 {
 	return z / math.Sqrt(float64(n))
 }
 
-// SignificantLags returns the lags in 1..maxLag whose correlation value
-// falls outside the white-noise confidence band. This implements the
-// paper's §6.3 grid pruning: "looking at where the data points intersect
-// with the shaded areas".
-func SignificantLags(corr []float64, n int, level float64) []int {
-	band := ConfidenceBand(n, level)
-	var lags []int
-	for k := 1; k < len(corr); k++ {
-		if math.Abs(corr[k]) > band {
-			lags = append(lags, k)
-		}
-	}
-	return lags
-}
-
 // LjungBoxResult reports the Ljung-Box portmanteau test for residual
 // autocorrelation.
 type LjungBoxResult struct {

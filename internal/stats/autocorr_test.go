@@ -128,27 +128,6 @@ func TestConfidenceBand(t *testing.T) {
 	}
 }
 
-func TestSignificantLags(t *testing.T) {
-	// Seasonal series has significant ACF at the period.
-	n := 1000
-	x := make([]float64, n)
-	rng := rand.New(rand.NewSource(6))
-	for t := 0; t < n; t++ {
-		x[t] = math.Sin(2*math.Pi*float64(t)/24) + 0.1*rng.NormFloat64()
-	}
-	rho := ACF(x, 30)
-	lags := SignificantLags(rho, n, 0.95)
-	found := false
-	for _, l := range lags {
-		if l == 24 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("lag 24 should be significant, got %v", lags)
-	}
-}
-
 func TestLjungBoxWhiteNoise(t *testing.T) {
 	x := ar1(2000, 0, 7)
 	res := LjungBox(x, 20, 0)

@@ -41,49 +41,6 @@ func Variance(x []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// PopVariance returns the population variance (n denominator).
-func PopVariance(x []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(x)
-	var ss float64
-	for _, v := range x {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// Min returns the smallest element of x, or NaN for empty input.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of x, or NaN for empty input.
-func Max(x []float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-th quantile of x (0 <= q <= 1) using linear
 // interpolation between order statistics (type 7, the R/NumPy default).
 // It returns NaN for empty input or q outside [0,1].
@@ -123,58 +80,4 @@ func MAD(x []float64) float64 {
 		dev[i] = math.Abs(v - med)
 	}
 	return 1.4826 * Median(dev)
-}
-
-// Covariance returns the unbiased sample covariance of x and y.
-// It panics if the lengths disagree and returns NaN for n < 2.
-func Covariance(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("stats: Covariance length mismatch")
-	}
-	n := len(x)
-	if n < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var s float64
-	for i := range x {
-		s += (x[i] - mx) * (y[i] - my)
-	}
-	return s / float64(n-1)
-}
-
-// Correlation returns the Pearson correlation coefficient of x and y.
-func Correlation(x, y []float64) float64 {
-	sx, sy := StdDev(x), StdDev(y)
-	if sx == 0 || sy == 0 {
-		return math.NaN()
-	}
-	return Covariance(x, y) / (sx * sy)
-}
-
-// Summary bundles the descriptive statistics that the engine logs for a
-// monitored metric window.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of x.
-func Summarize(x []float64) Summary {
-	return Summary{
-		N:      len(x),
-		Mean:   Mean(x),
-		StdDev: StdDev(x),
-		Min:    Min(x),
-		Q25:    Quantile(x, 0.25),
-		Median: Median(x),
-		Q75:    Quantile(x, 0.75),
-		Max:    Max(x),
-	}
 }

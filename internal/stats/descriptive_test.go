@@ -14,9 +14,6 @@ func TestMeanVariance(t *testing.T) {
 	if got := Mean(x); !feq(got, 5, 1e-12) {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	if got := PopVariance(x); !feq(got, 4, 1e-12) {
-		t.Fatalf("PopVariance = %v, want 4", got)
-	}
 	if got := Variance(x); !feq(got, 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v, want %v", got, 32.0/7.0)
 	}
@@ -27,19 +24,11 @@ func TestMeanVariance(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) ||
-		!math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) ||
 		!math.IsNaN(Median(nil)) || !math.IsNaN(MAD(nil)) {
 		t.Fatal("empty inputs should return NaN")
 	}
 	if !math.IsNaN(Variance([]float64{1})) {
 		t.Fatal("Variance of single value should be NaN")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	x := []float64{3, -1, 4, 1, 5}
-	if Min(x) != -1 || Max(x) != 5 {
-		t.Fatalf("Min/Max = %v/%v", Min(x), Max(x))
 	}
 }
 
@@ -80,28 +69,6 @@ func TestMADGaussianConsistency(t *testing.T) {
 	}
 	if got := MAD(x); math.Abs(got-3.0) > 0.12 {
 		t.Fatalf("MAD = %v, want ~3.0", got)
-	}
-}
-
-func TestCovarianceCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(x, y); !feq(got, 1, 1e-12) {
-		t.Fatalf("Correlation = %v, want 1", got)
-	}
-	yn := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(x, yn); !feq(got, -1, 1e-12) {
-		t.Fatalf("Correlation = %v, want -1", got)
-	}
-	if got := Covariance(x, y); !feq(got, 5, 1e-12) {
-		t.Fatalf("Covariance = %v, want 5", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
 	}
 }
 

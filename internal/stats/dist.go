@@ -7,11 +7,6 @@ func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns the z with P(Z <= z) = p for a standard normal
 // variable, using the Acklam rational approximation refined by one
 // Newton-Halley step (absolute error well below 1e-12 over (0,1)).
@@ -60,77 +55,6 @@ func NormalQuantile(p float64) float64 {
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x
-}
-
-// regularised incomplete beta function I_x(a, b) via continued fraction
-// (Lentz's method), used by the Student-t CDF.
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta, _ := math.Lgamma(a + b)
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	front := math.Exp(lbeta - la - lb + a*math.Log(x) + b*math.Log(1-x))
-	// Use the symmetry relation for faster convergence.
-	if x > (a+1)/(a+b+2) {
-		return 1 - regIncBeta(b, a, 1-x)
-	}
-	const (
-		maxIter = 300
-		eps     = 1e-14
-		tiny    = 1e-30
-	)
-	f, c, d := 1.0, 1.0, 0.0
-	for i := 0; i <= maxIter; i++ {
-		m := i / 2
-		var numerator float64
-		switch {
-		case i == 0:
-			numerator = 1
-		case i%2 == 0:
-			numerator = float64(m) * (b - float64(m)) * x /
-				((a + 2*float64(m) - 1) * (a + 2*float64(m)))
-		default:
-			numerator = -(a + float64(m)) * (a + b + float64(m)) * x /
-				((a + 2*float64(m)) * (a + 2*float64(m) + 1))
-		}
-		d = 1 + numerator*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		d = 1 / d
-		c = 1 + numerator/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		delta := c * d
-		f *= delta
-		if math.Abs(1-delta) < eps {
-			break
-		}
-	}
-	return front * (f - 1) / a
-}
-
-// StudentTCDF returns P(T <= t) for a Student-t variable with df degrees of
-// freedom. For df >= 200 it falls back to the normal approximation.
-func StudentTCDF(t float64, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if df >= 200 {
-		return NormalCDF(t)
-	}
-	x := df / (df + t*t)
-	p := 0.5 * regIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
 }
 
 // ChiSquareCDF returns P(X <= x) for a chi-square variable with k degrees

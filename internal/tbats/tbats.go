@@ -672,66 +672,3 @@ func stepImpulse(cfg Config, st *state, m *Model, inject bool) (pred float64, e 
 	}
 	return pred, e
 }
-
-// AutoFit performs the paper's §4.3 model selection: it fits the
-// alternative configurations — with/without Box-Cox, trend, damping,
-// ARMA errors, and varying harmonic counts — and returns the model with
-// the lowest AIC.
-func AutoFit(y []float64, periods []int, opt FitOptions) (*Model, error) {
-	if len(periods) == 0 {
-		return nil, errors.New("tbats: AutoFit needs at least one seasonal period")
-	}
-	harmonicChoices := [][]int{}
-	base := make([]int, len(periods))
-	for i := range base {
-		base[i] = 1
-	}
-	harmonicChoices = append(harmonicChoices, base)
-	richer := make([]int, len(periods))
-	for i, p := range periods {
-		k := 3
-		if 2*k > p {
-			k = p / 2
-		}
-		if k < 1 {
-			k = 1
-		}
-		richer[i] = k
-	}
-	harmonicChoices = append(harmonicChoices, richer)
-
-	var best *Model
-	var firstErr error
-	for _, useBC := range []bool{false, true} {
-		for _, trendCfg := range []struct{ trend, damp bool }{{false, false}, {true, false}, {true, true}} {
-			for _, armaCfg := range []struct{ p, q int }{{0, 0}, {1, 1}} {
-				for _, harm := range harmonicChoices {
-					if opt.Ctx != nil && opt.Ctx.Err() != nil {
-						// Cancellation outranks the remaining grid.
-						return nil, fmt.Errorf("tbats: autofit aborted: %w", opt.Ctx.Err())
-					}
-					cfg := Config{
-						Periods: periods, Harmonics: harm,
-						UseBoxCox: useBC,
-						UseTrend:  trendCfg.trend, UseDamping: trendCfg.damp,
-						ARMAP: armaCfg.p, ARMAQ: armaCfg.q,
-					}
-					m, err := Fit(cfg, y, opt)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						continue
-					}
-					if best == nil || m.AIC < best.AIC {
-						best = m
-					}
-				}
-			}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("tbats: no configuration could be fitted: %w", firstErr)
-	}
-	return best, nil
-}

@@ -198,39 +198,6 @@ func TestForecastSEWidens(t *testing.T) {
 	}
 }
 
-func TestAutoFitSelectsByAIC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("AutoFit sweep is slow")
-	}
-	y := seasonalSeries(360, []int{24}, []float64{10}, 0.05, 0.5, 8)
-	m, err := AutoFit(y, []int{24}, FitOptions{MaxIter: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trending data: the chosen config should include trend.
-	if !m.Config.UseTrend {
-		t.Logf("warning: AutoFit picked non-trend config %v (AIC=%v)", m.Config, m.AIC)
-	}
-	fc, err := m.Forecast(24, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := make([]float64, 24)
-	for k := range truth {
-		i := 360 + k
-		truth[k] = 100 + 0.05*float64(i) + 10*math.Sin(2*math.Pi*float64(i)/24)
-	}
-	if rmse := metrics.RMSE(truth, fc.Mean); rmse > 6 {
-		t.Fatalf("AutoFit forecast RMSE = %v", rmse)
-	}
-}
-
-func TestAutoFitNeedsPeriods(t *testing.T) {
-	if _, err := AutoFit(make([]float64, 100), nil, FitOptions{}); err == nil {
-		t.Fatal("expected error with no periods")
-	}
-}
-
 func TestFittedValuesFinite(t *testing.T) {
 	y := seasonalSeries(240, []int{24}, []float64{8}, 0, 0.5, 9)
 	m, err := Fit(Config{Periods: []int{24}, Harmonics: []int{2}}, y, FitOptions{})

@@ -7,41 +7,6 @@ import (
 	"testing/quick"
 )
 
-// Property: hourly aggregation is linear — aggregate(a+b) = aggregate(a)
-// + aggregate(b) for gap-free series.
-func TestAggregateLinearityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 * (1 + rng.Intn(20)) // whole hours of 15-min samples
-		a := make([]float64, n)
-		b := make([]float64, n)
-		sum := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-			sum[i] = a[i] + b[i]
-		}
-		sa := New("a", t0, Minute15, a)
-		sb := New("b", t0, Minute15, b)
-		ss := New("s", t0, Minute15, sum)
-		ha, err1 := sa.Aggregate(Hourly, AggregateMean)
-		hb, err2 := sb.Aggregate(Hourly, AggregateMean)
-		hs, err3 := ss.Aggregate(Hourly, AggregateMean)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return false
-		}
-		for i := range hs.Values {
-			if math.Abs(hs.Values[i]-(ha.Values[i]+hb.Values[i])) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: interpolation is idempotent and never changes known values.
 func TestInterpolateIdempotentProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -199,64 +199,6 @@ func (s *Series) Interpolate() (int, error) {
 	return filled, nil
 }
 
-// AggregateMode selects the aggregation statistic.
-type AggregateMode int
-
-const (
-	// AggregateMean averages samples within the target bucket — the
-	// paper's hourly aggregation ("aggregation then takes place over the
-	// hour between the four captured metrics").
-	AggregateMean AggregateMode = iota
-	// AggregateSum totals samples, for counter-style metrics.
-	AggregateSum
-	// AggregateMax keeps the bucket peak, for SLA-sensitive views.
-	AggregateMax
-)
-
-// Aggregate rolls the series up to a coarser frequency. The coarse step
-// must be an integer multiple of the current step. Partial trailing
-// buckets are dropped. Missing samples are excluded from each bucket's
-// statistic; a bucket with no known samples is NaN.
-func (s *Series) Aggregate(to Frequency, mode AggregateMode) (*Series, error) {
-	fine := s.Freq.Step()
-	coarse := to.Step()
-	if coarse <= fine || coarse%fine != 0 {
-		return nil, fmt.Errorf("timeseries: cannot aggregate %v to %v", s.Freq, to)
-	}
-	k := int(coarse / fine)
-	nOut := s.Len() / k
-	out := make([]float64, nOut)
-	for b := 0; b < nOut; b++ {
-		var sum, max float64
-		max = math.Inf(-1)
-		cnt := 0
-		for j := 0; j < k; j++ {
-			v := s.Values[b*k+j]
-			if math.IsNaN(v) {
-				continue
-			}
-			sum += v
-			if v > max {
-				max = v
-			}
-			cnt++
-		}
-		if cnt == 0 {
-			out[b] = math.NaN()
-			continue
-		}
-		switch mode {
-		case AggregateMean:
-			out[b] = sum / float64(cnt)
-		case AggregateSum:
-			out[b] = sum
-		case AggregateMax:
-			out[b] = max
-		}
-	}
-	return &Series{Name: s.Name, Start: s.Start, Freq: to, Values: out}, nil
-}
-
 // Split divides the series into train and test segments with the given
 // test length, per the paper's Table 1 (e.g. 1008 hourly observations →
 // 984 train + 24 test).

@@ -122,66 +122,6 @@ func TestMissingCount(t *testing.T) {
 	}
 }
 
-func TestAggregateMean(t *testing.T) {
-	// 8 quarter-hour samples -> 2 hourly buckets.
-	s := New("x", t0, Minute15, []float64{1, 2, 3, 4, 10, 20, 30, 40})
-	h, err := s.Aggregate(Hourly, AggregateMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 || h.Values[0] != 2.5 || h.Values[1] != 25 {
-		t.Fatalf("hourly = %v", h.Values)
-	}
-	if h.Freq != Hourly {
-		t.Fatal("frequency not updated")
-	}
-}
-
-func TestAggregateWithMissing(t *testing.T) {
-	nan := math.NaN()
-	s := New("x", t0, Minute15, []float64{1, nan, 3, nan, nan, nan, nan, nan})
-	h, err := s.Aggregate(Hourly, AggregateMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Values[0] != 2 {
-		t.Fatalf("bucket 0 = %v, want 2 (mean of known values)", h.Values[0])
-	}
-	if !math.IsNaN(h.Values[1]) {
-		t.Fatalf("bucket 1 = %v, want NaN", h.Values[1])
-	}
-}
-
-func TestAggregateSumMax(t *testing.T) {
-	s := New("x", t0, Minute15, []float64{1, 2, 3, 4})
-	sum, _ := s.Aggregate(Hourly, AggregateSum)
-	if sum.Values[0] != 10 {
-		t.Fatalf("sum = %v", sum.Values[0])
-	}
-	max, _ := s.Aggregate(Hourly, AggregateMax)
-	if max.Values[0] != 4 {
-		t.Fatalf("max = %v", max.Values[0])
-	}
-}
-
-func TestAggregateDropsPartialBucket(t *testing.T) {
-	s := New("x", t0, Minute15, make([]float64, 7)) // 1 full bucket + 3 extra
-	h, err := s.Aggregate(Hourly, AggregateMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 1 {
-		t.Fatalf("len = %d, want 1", h.Len())
-	}
-}
-
-func TestAggregateInvalid(t *testing.T) {
-	s := New("x", t0, Hourly, []float64{1, 2})
-	if _, err := s.Aggregate(Minute15, AggregateMean); err == nil {
-		t.Fatal("downsampling to finer frequency should fail")
-	}
-}
-
 func TestSplit(t *testing.T) {
 	s := New("x", t0, Hourly, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	train, test, err := s.Split(3)

@@ -233,41 +233,3 @@ func GuerreroLambda(x []float64, period int) float64 {
 	}
 	return best
 }
-
-// Lag returns x shifted by k (positive k lags the series): out[t] = x[t−k]
-// for t >= k, with the first k entries NaN.
-func Lag(x []float64, k int) []float64 {
-	if k < 0 {
-		panic("timeseries: negative lag")
-	}
-	out := make([]float64, len(x))
-	for i := 0; i < k && i < len(x); i++ {
-		out[i] = math.NaN()
-	}
-	for i := k; i < len(x); i++ {
-		out[i] = x[i-k]
-	}
-	return out
-}
-
-// RollingMean returns the trailing window-mean of x; the first window−1
-// entries are NaN.
-func RollingMean(x []float64, window int) []float64 {
-	if window <= 0 {
-		panic("timeseries: non-positive window")
-	}
-	out := make([]float64, len(x))
-	var sum float64
-	for i, v := range x {
-		sum += v
-		if i >= window {
-			sum -= x[i-window]
-		}
-		if i >= window-1 {
-			out[i] = sum / float64(window)
-		} else {
-			out[i] = math.NaN()
-		}
-	}
-	return out
-}

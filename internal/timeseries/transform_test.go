@@ -198,28 +198,3 @@ func TestGuerreroLambdaShortSeries(t *testing.T) {
 		t.Fatalf("short series should default to 1, got %v", lam)
 	}
 }
-
-func TestLag(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	l := Lag(x, 2)
-	if !math.IsNaN(l[0]) || !math.IsNaN(l[1]) || l[2] != 1 || l[3] != 2 {
-		t.Fatalf("Lag = %v", l)
-	}
-	l0 := Lag(x, 0)
-	for i := range x {
-		if l0[i] != x[i] {
-			t.Fatal("Lag 0 should copy")
-		}
-	}
-}
-
-func TestRollingMean(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	r := RollingMean(x, 3)
-	if !math.IsNaN(r[0]) || !math.IsNaN(r[1]) {
-		t.Fatal("warmup should be NaN")
-	}
-	if r[2] != 2 || r[3] != 3 || r[4] != 4 {
-		t.Fatalf("RollingMean = %v", r)
-	}
-}

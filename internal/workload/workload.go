@@ -154,6 +154,8 @@ func Synthetic(o SyntheticOpts) []float64 {
 }
 
 // DailySeasonal is shorthand for an hourly series with one daily season.
+//
+// capplan:keep test fixture: it generates the golden-digest series in the core, dbsim and workload tests.
 func DailySeasonal(n int, level, amp, trend, noise float64, seed int64) []float64 {
 	return Synthetic(SyntheticOpts{
 		N: n, Level: level, Trend: trend,

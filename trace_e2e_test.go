@@ -118,7 +118,7 @@ func TestTraceFollowsBatchAcrossProcesses(t *testing.T) {
 	mon, err := monitor.New(monitor.Config{
 		Store: store,
 		Refit: func(ctx context.Context, key string, warm bool) (*core.Result, error) {
-			refitTrace = obs.TraceIDFromContext(ctx)
+			refitTrace = obs.SpanFromContext(ctx).Context().Trace.String()
 			return stub(), nil
 		},
 		Obs: serveObs,
